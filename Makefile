@@ -14,6 +14,9 @@
 #                 bitset-oracle equivalence subset (the word-packed
 #                 cover sweep pinned bit-identical to the per-source
 #                 oracle, fail-fast before the full suite), the
+#                 plan-is-what-runs subset (FloodSession.plan names
+#                 the backend every tier executes, one cache entry
+#                 per spec; fail-fast likewise), the
 #                 cache-equivalence subset (cached/coalesced/persisted
 #                 results pinned bit-identical to fresh execution,
 #                 fail-fast likewise), the scenario-equivalence subset
@@ -58,6 +61,7 @@ smoke:
 	$(PYTHON) benchmarks/run_bench.py --quick --summary $(SMOKE_SUMMARY)
 	$(PYTHON) benchmarks/check_drift.py $(SMOKE_SUMMARY)
 	$(PYTHON) -m pytest -x -q tests/fastpath/test_bitset_oracle.py
+	$(PYTHON) -m pytest -x -q tests/api/test_plan_is_what_runs.py
 	$(PYTHON) -m pytest -x -q tests/cache/test_cache_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/variants/test_scenario_fastpath_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/integration/test_examples.py

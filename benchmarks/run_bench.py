@@ -100,6 +100,13 @@ EXTRA_ROW_KEYS = (
     "distinct",
     "hit_rate",
     "store_hits",
+    "pure_ms_per_run",
+    "numpy_ms_per_run",
+    "oracle_ms_per_run",
+    "bitset_ms_per_run",
+    "fastest_lane",
+    "default_over_fastest",
+    "gated",
 )
 
 

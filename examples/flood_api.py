@@ -40,18 +40,18 @@ def main() -> None:
 
         banner("A grouped sweep (heterogeneous specs, one call)")
         specs = (
-            # A batch over the ER graph: grouped, probe-routed, maybe pooled.
+            # A batch over the ER graph: grouped, resolved, maybe pooled.
             [spec.replace(sources=(v,)) for v in graph.nodes()[:24]]
-            # A long odd-cycle flood: the probe routes this to the
-            # double-cover oracle automatically.
+            # A long odd-cycle flood: the same backend rule as a single
+            # run (the double-cover oracle only when named).
             + [FloodSpec(graph=cycle, sources=(0,))]
         )
         results = session.sweep(specs)
         rounds = sorted({r.termination_round for r in results[:24]})
         print(f"{len(results)} results, ER termination rounds {rounds}")
         print(
-            f"odd-cycle run routed to backend={results[-1].backend!r} "
-            f"({results[-1].termination_round} rounds at BFS cost)"
+            f"odd-cycle run on backend={results[-1].backend!r} "
+            f"({results[-1].termination_round} rounds)"
         )
 
         banner("Scenarios by name")

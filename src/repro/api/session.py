@@ -1,19 +1,20 @@
 """``FloodSession``: plan and execute :class:`FloodSpec` requests.
 
 The facade over the execution tiers.  A session owns the warm state the
-tiers need -- per-graph :class:`~repro.parallel.SweepPool` workers for
-batch work, one :class:`~repro.service.FloodService` for async queries
--- and plans each request from its spec alone:
+tiers need -- one :class:`~repro.parallel.SweepPool` of workers for
+batch work on every graph, one :class:`~repro.service.FloodService` for
+async queries -- and plans each request from its spec alone:
 
 * :meth:`FloodSession.run` -- one spec, serially, on the fast-path
   engine (every built-in scenario canonicalises to a variant or plain
   spec); ``reference=True`` reruns the request on its pinned set-based
   reference engine instead.
 * :meth:`FloodSession.sweep` -- many specs: grouped by execution shape
-  (graph, budget, backend request, probe policy, variant, collection
-  flags), each group routed through the probe-aware backend selection
-  and run serially or across a warm worker pool depending on batch
-  size and usable cores -- the same heuristics as
+  (graph, budget, backend request, variant, collection flags), each
+  group resolved by :func:`~repro.fastpath.engine.select_backend` (the
+  same rule as :meth:`FloodSession.run`) and run serially or across the
+  session's warm worker pool depending on batch size and usable cores
+  -- the same heuristics as
   :func:`~repro.parallel.parallel_sweep`, with results returned in
   input order and bit-identical to the serial path.
 * :meth:`FloodSession.aquery` -- one spec, asynchronously: coalesced
@@ -68,8 +69,8 @@ class FloodSession:
         ``None`` auto-sizes to the usable cores (and keeps small
         batches serial, like :func:`~repro.parallel.parallel_sweep`);
         ``0`` forces everything in-process serial; ``n >= 1`` builds
-        real ``n``-worker pools for every batched graph (and an
-        ``n``-worker service).  Results are bit-identical in every
+        one real ``n``-worker pool shared by every batched graph (and
+        an ``n``-worker service).  Results are bit-identical in every
         mode.
     cache:
         Optional :class:`~repro.cache.ResultCache`.  When set,
@@ -97,9 +98,12 @@ class FloodSession:
         async with FloodSession() as session:       # async flows
             result = await session.aquery(spec)
 
-    Pools are built lazily per graph and kept warm for the session's
-    lifetime; close with the context manager (``with`` / ``async
-    with``), :meth:`close`, or :meth:`aclose` when async queries ran.
+    The pool is built lazily by the first pooled batch, warmed with that
+    batch's graph, and kept for the session's lifetime; batches on other
+    graphs ship their index to its workers (see
+    :class:`~repro.parallel.SweepPool`).  Close with the context manager
+    (``with`` / ``async with``), :meth:`close`, or :meth:`aclose` when
+    async queries ran.
     """
 
     def __init__(
@@ -109,7 +113,7 @@ class FloodSession:
             raise ConfigurationError("workers must be >= 0 (0 = serial mode)")
         self.workers = workers
         self._results = cache
-        self._pools: Dict[Graph, Any] = {}
+        self._pool: Optional[Any] = None
         self._service: Optional[Any] = None
         self._closed = False
 
@@ -145,28 +149,16 @@ class FloodSession:
     def plan(self, spec: FloodSpec, batch_size: int = 1) -> ExecutionPlan:
         """The execution plan for ``spec`` in a batch of ``batch_size``.
 
-        Resolves the backend exactly like execution would (variant
-        rules, explicit names, or the probe-aware routing for batches)
-        without running anything.
+        Resolves the backend with the rule execution uses
+        (:func:`~repro.fastpath.engine.select_backend`, independent of
+        ``batch_size``) without running anything.
         """
         if spec.scenario is not None:
             name = spec.scenario.partition(":")[0]
             return ExecutionPlan(mode=SCENARIO, backend=f"scenario:{name}")
-        from repro.fastpath.engine import (
-            routed_sweep_backend,
-            select_backend,
-        )
-        from repro.fastpath.variants import variant_backend
+        from repro.fastpath.engine import select_backend
 
-        index = spec.index()
-        if spec.variant is not None:
-            backend = variant_backend(index, spec.backend, spec.variant)
-        elif batch_size > 1:
-            backend = routed_sweep_backend(
-                index, spec.backend, spec.max_rounds, spec.probe
-            )
-        else:
-            backend = select_backend(index, spec.backend)
+        backend = select_backend(spec.index(), spec.backend, spec.variant)
         if self._pooled(batch_size):
             return ExecutionPlan(
                 mode=POOL, backend=backend, workers=self._resolved_workers()
@@ -181,13 +173,13 @@ class FloodSession:
         """Execute one spec serially; the facade form of ``simulate``.
 
         Every built-in scenario (and plain/variant spec) runs on the
-        arc-mask fast path with the legacy single-run backend
-        selection, so the result is bit-identical to
-        ``simulate_indexed`` of the same request.  ``reference=True``
-        is the escape hatch onto the pinned set-based engines
-        (:func:`repro.api.scenarios.run_scenario`) -- the second
-        opinion the equivalence matrix compares against; reference
-        runs never touch the result cache.  Extension scenario specs
+        arc-mask fast path, so the result is bit-identical to
+        ``simulate_indexed`` of the same request -- and to a
+        :meth:`sweep` of it, backend and cache entry included.
+        ``reference=True`` is the escape hatch onto the pinned set-based
+        engines (:func:`repro.api.scenarios.run_scenario`) -- the second
+        opinion the equivalence matrix compares against; reference runs
+        never touch the result cache.  Extension scenario specs
         still carrying a canonical string route there unconditionally.
         """
         self._require_open()
@@ -202,17 +194,11 @@ class FloodSession:
             return FloodResult.from_indexed(spec, run_spec(spec))
         from repro.cache import decode_run, encode_run, result_cache_key
         from repro.fastpath.engine import select_backend
-        from repro.fastpath.variants import variant_backend
 
         index = spec.index()
-        # Single-run resolution (no probe), matching run_spec exactly:
-        # the resolved name joins the cache key because batch routing
-        # may legitimately pick a different engine for the same spec.
-        if spec.variant is not None:
-            chosen = variant_backend(index, spec.backend, spec.variant)
-        else:
-            chosen = select_backend(index, spec.backend)
-        key = result_cache_key(spec, chosen)
+        key = result_cache_key(
+            spec, select_backend(index, spec.backend, spec.variant)
+        )
         if spec.cache == "use":
             blob = cache.get(key)
             if blob is not None:
@@ -228,12 +214,11 @@ class FloodSession:
         """Execute many specs; results in input order.
 
         Specs are grouped by execution shape (everything
-        :class:`~repro.api.spec.BatchKey`-relevant plus the graph and
-        probe policy); each fast-path group runs as one batch --
-        serially, or across this session's warm pool for that graph
-        when the batch and the machine justify one -- and each
-        extension set-based scenario spec runs on its registered
-        runner.  Grouping changes
+        :class:`~repro.api.spec.BatchKey`-relevant plus the graph);
+        each fast-path group runs as one batch -- serially, or across
+        this session's warm pool when the batch and the machine justify
+        one -- and each extension set-based scenario spec runs on its
+        registered runner.  Grouping changes
         scheduling, never content: every group's results are
         bit-identical to the serial spec sweep, which is itself
         bit-identical to the legacy ``sweep``/``parallel_sweep`` of the
@@ -262,7 +247,6 @@ class FloodSession:
             spec.graph,
             spec.max_rounds,
             spec.backend,
-            spec.probe,
             spec.variant,
             spec.scenario,
             spec.collect_senders,
@@ -285,8 +269,7 @@ class FloodSession:
 
     def _execute_group(self, group: List[FloodSpec]) -> List[Any]:
         if self._pooled(len(group)):
-            pool = self._pool_for(group[0].graph)
-            return pool.sweep_specs(group)
+            return self._shared_pool(group[0].graph).sweep_specs(group)
         from repro.fastpath.engine import sweep_specs
 
         return sweep_specs(group)
@@ -307,9 +290,6 @@ class FloodSession:
 
         cache = self._results
         index = group[0].index()
-        # Batch-style resolution (probe-aware), matching _execute_group:
-        # the resolved name joins the key, so single-run (`run`) and
-        # batch (`sweep`) entries for the same spec never collide.
         chosen = batch_key_of(group, index).backend
         results: List[Optional[Any]] = [None] * len(group)
         keys: List[Optional[str]] = [None] * len(group)
@@ -352,14 +332,13 @@ class FloodSession:
             results[position] = run
         return results  # type: ignore[return-value]
 
-    def _pool_for(self, graph: Graph) -> Any:
-        from repro.parallel.pool import SweepPool
+    def _shared_pool(self, graph: Graph) -> Any:
+        """The session's one pool, warmed with ``graph`` if first built."""
+        if self._pool is None:
+            from repro.parallel.pool import SweepPool
 
-        pool = self._pools.get(graph)
-        if pool is None:
-            pool = SweepPool(graph, workers=self._resolved_workers())
-            self._pools[graph] = pool
-        return pool
+            self._pool = SweepPool(graph, workers=self._resolved_workers())
+        return self._pool
 
     async def aquery(
         self,
@@ -373,10 +352,8 @@ class FloodSession:
         Fast-path specs ride the session's :class:`FloodService`: the
         spec is the request, its :class:`~repro.api.spec.BatchKey` is
         the micro-batch key, and the result is bit-identical to
-        :meth:`run` of the same spec modulo probe routing (the service
-        routes ``backend=None`` through the rounds probe, exactly like
-        a batch).  Extension set-based scenario specs run on an
-        executor thread.  ``timeout`` / ``on_full`` follow
+        :meth:`run` of the same spec, backend included.  Extension
+        set-based scenario specs run on an executor thread.  ``timeout`` / ``on_full`` follow
         :meth:`repro.service.FloodService.query`.
         """
         self._require_open()
@@ -425,7 +402,7 @@ class FloodSession:
             raise ConfigurationError("this FloodSession is closed")
 
     def close(self) -> None:
-        """Reap the session's pools (and service, best-effort).
+        """Reap the session's pool (and service, best-effort).
 
         If :meth:`aquery` was used, prefer ``async with`` or
         :meth:`aclose`, which drain the service on its own event loop;
@@ -435,24 +412,25 @@ class FloodSession:
         if self._closed:
             return
         self._closed = True
-        for pool in self._pools.values():
-            pool.close()
-        self._pools.clear()
+        self._close_pool()
         service, self._service = self._service, None
         if service is not None and not service._closed:
             asyncio.run(service.close())
 
     async def aclose(self) -> None:
-        """Drain and close the service on the running loop, then the pools."""
+        """Drain and close the service on the running loop, then the pool."""
         if self._closed:
             return
         service, self._service = self._service, None
         if service is not None:
             await service.close()
         self._closed = True
-        for pool in self._pools.values():
+        self._close_pool()
+
+    def _close_pool(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
             pool.close()
-        self._pools.clear()
 
     def __enter__(self) -> "FloodSession":
         return self
@@ -472,8 +450,9 @@ class FloodSession:
             if self.workers == 0
             else f"workers={self.workers if self.workers else 'auto'}"
         )
+        pool = f"{self._pool.workers} workers" if self._pool else "none"
         return (
-            f"FloodSession({mode}, pools={len(self._pools)}, "
+            f"FloodSession({mode}, pool={pool}, "
             f"service={'yes' if self._service else 'no'}, "
             f"closed={self._closed})"
         )

@@ -2,14 +2,14 @@
 
 The repo grew four ways to run a flood -- ``core.amnesiac.simulate``,
 ``fastpath.sweep``/``simulate_indexed``, ``parallel_sweep``/``SweepPool``
-and ``FloodService.query`` -- and every new capability (backends, probe
-routing, variants, per-request RNG keys) had to be hand-threaded through
+and ``FloodService.query`` -- and every new capability (backends,
+variants, per-request RNG keys) had to be hand-threaded through
 all of them as parallel kwarg pipelines.  This module collapses the
 request shape into a single frozen dataclass, validated **once** at
 construction:
 
 * :class:`FloodSpec` -- graph + sources + round budget + backend +
-  probe policy + :class:`~repro.fastpath.variants.VariantSpec` + RNG
+  :class:`~repro.fastpath.variants.VariantSpec` + RNG
   stream position + collection flags + optional scenario string.  It is
   frozen, hashable and picklable, so the same object rides from the
   caller through the micro-batcher, the pool task queue and the worker
@@ -84,8 +84,9 @@ digest covers must either split the coalescing bucket (be read by
 * ``backend`` -- reaches :class:`BatchKey` as the *resolved* backend
   parameter; the raw field still contains ``None`` (auto) after
   routing decided.
-* ``probe`` -- a routing input, fully consumed in producing that
-  resolved backend before ``batch_key()`` is called.
+* ``probe`` -- has no effect on execution (see the field's
+  documentation); it stays in the digest only so existing cache
+  addresses keep their value.
 * ``scenario`` -- extension-scenario specs run on the reference
   engines and are rejected by the batching service before any bucket
   is chosen.
@@ -138,9 +139,10 @@ class FloodSpec:
         Validated at construction, including numpy availability and
         variant compatibility.
     probe:
-        Whether ``backend=None`` batch execution may consult the
-        double-cover rounds probe (the existing routing logic).
-        ``False`` restores plain frontier auto-selection.
+        No effect: backend resolution is one rule
+        (:func:`~repro.fastpath.engine.select_backend`) for every
+        tier.  The field stays in :meth:`digest` because removing it
+        changes every cache address and needs a codec bump.
     variant:
         Optional :class:`~repro.fastpath.variants.VariantSpec` running
         the stochastic/memory stepper instead of the deterministic
@@ -302,7 +304,6 @@ class FloodSpec:
         seed: int = 0,
         max_rounds: Optional[int] = None,
         stream: int = 0,
-        probe: bool = True,
         collect_senders: bool = False,
         collect_receives: bool = False,
     ) -> "FloodSpec":
@@ -320,7 +321,6 @@ class FloodSpec:
             graph=graph,
             sources=tuple(sources),
             max_rounds=max_rounds,
-            probe=probe,
             scenario=seeded_scenario(scenario, seed),
             stream=stream,
             collect_senders=collect_senders,

@@ -16,14 +16,15 @@ three properties at once:
 
 Key discipline
 --------------
-The cache key is ``f"{spec.digest()}:{resolved_backend}"``.  The spec
-digest alone is not enough: single-run resolution
-(:func:`~repro.fastpath.engine.run_spec`, never probes) and batch
-resolution (:func:`~repro.fastpath.engine.routed_sweep_backend`,
-probe-aware) may pick *different* backends for the same
-``backend=None`` spec, and a cached result reports the backend that
-produced it -- so the resolved name joins the key and each resolution
-path addresses its own entry.  Stochastic specs are safe automatically:
+The cache key is ``f"{spec.digest()}:{resolved_backend}"``, with the
+backend resolved by :func:`~repro.fastpath.engine.select_backend` --
+the one rule ``run``, ``sweep`` and the service share, so a spec has
+exactly one key whichever tier stores or reads it.  The resolved name
+joins the key because a cached result reports the backend that
+produced it, and auto-selection depends on the process (numpy
+importability) as well as on the spec: a persistent store shared by a
+process without numpy must not serve it numpy-labelled results.
+Stochastic specs are safe automatically:
 ``digest()`` already covers ``(variant.seed, stream)``, so a different
 stream is a different address, never a false hit.
 

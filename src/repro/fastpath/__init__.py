@@ -43,10 +43,11 @@ Entry points:
 * :func:`step_arc_mask` / :func:`evolve_arc_mask` -- arbitrary initial
   configurations packed into arc bitmasks (powers the
   initial-conditions census);
-* :func:`probe_termination_rounds` / :func:`routed_backend` -- cheap
-  double-cover rounds probes that make backend selection rounds-aware
-  (bare ``sweep(backend=None)`` and the service layer route long
-  floods to the oracle through these);
+* :func:`select_backend` -- the one backend-resolution rule every
+  tier applies (``backend=None`` picks pure or numpy; the oracle is
+  reached only by name);
+* :func:`probe_termination_rounds` -- a cheap double-cover rounds probe
+  (predicted termination rounds from sampled sources), a diagnostic;
 * :class:`VariantSpec` (:func:`thinning` / :func:`bernoulli_loss` /
   :func:`k_memory` / :func:`periodic_injection` / :func:`multi_message`
   / :func:`random_delay` / :func:`dynamic_schedule`) and
@@ -71,7 +72,6 @@ from repro.fastpath.engine import (
     dispatch_batch,
     ensure_homogeneous_specs,
     evolve_arc_mask,
-    routed_sweep_backend,
     run_spec,
     select_backend,
     simulate_indexed,
@@ -80,12 +80,7 @@ from repro.fastpath.engine import (
     sweep_specs,
 )
 from repro.fastpath.indexed import IndexedGraph
-from repro.fastpath.probe import (
-    ORACLE_ROUND_THRESHOLD,
-    expected_rounds,
-    probe_termination_rounds,
-    routed_backend,
-)
+from repro.fastpath.probe import probe_termination_rounds
 from repro.fastpath.schedule import ArcSchedule
 from repro.fastpath.variants import (
     VariantSpec,
@@ -107,7 +102,6 @@ __all__ = [
     "NUMPY_ARC_THRESHOLD",
     "NUMPY_MIN_MEAN_DEGREE",
     "ORACLE",
-    "ORACLE_ROUND_THRESHOLD",
     "ArcSchedule",
     "IndexedGraph",
     "IndexedRun",
@@ -122,14 +116,11 @@ __all__ = [
     "dynamic_schedule",
     "ensure_homogeneous_specs",
     "evolve_arc_mask",
-    "expected_rounds",
     "k_memory",
     "multi_message",
     "periodic_injection",
     "probe_termination_rounds",
     "random_delay",
-    "routed_backend",
-    "routed_sweep_backend",
     "run_spec",
     "select_backend",
     "simulate_indexed",

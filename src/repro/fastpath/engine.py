@@ -17,24 +17,32 @@ Backend selection
 * ``"oracle"`` -- no frontier at all: one BFS over the implicit double
   cover predicts every statistic the frontier engines report
   (termination round, message totals, per-round counts, sender sets,
-  receive rounds) in O(n + m) total, independent of how many rounds
-  the flood runs.  Always available; the fast lane for sweep
-  statistics.
+  receive rounds) in O(n + m) total.  Always available; reached only
+  by name.
 
-``backend=None`` auto-selects between the frontier engines: numpy when
-it is importable *and* the graph has at least
+:func:`select_backend` is the one resolution rule, and every tier
+(``run_spec``, :func:`batch_key_of`/:func:`sweep_specs`, the worker
+pool, ``parallel_sweep``, ``FloodSession`` and the service) calls it,
+so a spec resolves to the same backend -- and the same cache key --
+whichever tier runs it.  ``backend=None`` picks a frontier engine:
+numpy when it is importable *and* the graph has at least
 :data:`NUMPY_ARC_THRESHOLD` directed arcs *and* mean degree at least
 :data:`NUMPY_MIN_MEAN_DEGREE` (sparse graphs run long floods, which
-punish the O(arcs)-per-round engine), else pure.  The oracle is
-never auto-selected -- it is a *prediction* of the process rather than
-an execution of it, so callers opt in explicitly (and the equivalence
-matrix holds it bit-for-bit equal to the executions).  Batches that
-*do* resolve to the oracle (explicitly or through the rounds probe)
-additionally ride the word-packed bitset sweep
-(:mod:`repro.fastpath.bitset_oracle`) when they are deterministic and
-at least :data:`BITSET_MIN_BATCH` runs -- an execution strategy, not a
-backend name: results still report ``backend="oracle"`` and stay
-bit-identical to the per-source oracle.
+punish the O(arcs)-per-round engine), else pure.  Variant specs always
+resolve to the pure arc-mask stepper.
+
+The oracle is never auto-selected.  The cover bound (one message per
+cover edge) already caps a frontier flood's *total* work at
+O(n + m + rounds), so the oracle's round-count-free cost buys no
+measured speed: on odd cycles, odd and even tori and dense
+Erdos-Renyi graphs the frontier auto-selection beats both the
+per-source oracle and its word-packed batch lane (``docs/architecture.md``
+records the lane table).  Batches that request the oracle by name
+ride the word-packed bitset sweep (:mod:`repro.fastpath.bitset_oracle`)
+when they are deterministic and at least :data:`BITSET_MIN_BATCH`
+runs -- an execution strategy, not a backend name: results still
+report ``backend="oracle"`` and stay bit-identical to the per-source
+oracle, which the equivalence matrix holds equal to the executions.
 """
 
 from __future__ import annotations
@@ -131,12 +139,21 @@ def validate_backend_name(backend: Optional[str]) -> None:
     )
 
 
-def select_backend(index: IndexedGraph, backend: Optional[str] = None) -> str:
-    """Resolve a backend name, auto-selecting when ``backend`` is None.
+def select_backend(
+    index: IndexedGraph,
+    backend: Optional[str] = None,
+    variant: Optional[VariantSpec] = None,
+) -> str:
+    """Resolve a backend name: the one rule every tier applies.
 
-    Auto-selection only ever picks a frontier engine (pure or numpy);
-    the oracle must be requested by name.
+    Explicit names win (validated).  ``backend=None`` auto-selects a
+    frontier engine (pure or numpy) from the graph's arc count and mean
+    degree; the oracle must be requested by name.  A ``variant`` run
+    resolves through :func:`~repro.fastpath.variants.variant_backend`
+    (always the pure stepper).
     """
+    if variant is not None:
+        return variant_backend(index, backend, variant)
     validate_backend_name(backend)
     if backend is None:
         if (
@@ -395,21 +412,16 @@ def run_spec(spec: FloodSpec, index: Optional[IndexedGraph] = None) -> IndexedRu
     """One flood from a validated :class:`FloodSpec`, serially.
 
     The spec-native core behind :func:`simulate_indexed` (which is now
-    a shim constructing a spec) and ``FloodSession.run``.  Backend
-    resolution for a single run never consults the rounds probe --
-    probing costs cover-BFS passes that only amortise across a batch --
-    so ``backend=None`` auto-selects a frontier engine exactly like the
-    legacy single-run path.  Pass ``index`` to reuse a prebuilt
+    a shim constructing a spec) and ``FloodSession.run``; the backend
+    comes from :func:`select_backend`, exactly as for a batch of the
+    same spec.  Pass ``index`` to reuse a prebuilt
     :class:`IndexedGraph`.
     """
     _require_fastpath_spec(spec)
     if index is None:
         index = spec.index()
     source_ids = index.resolve_sources(spec.sources)
-    if spec.variant is not None:
-        chosen = variant_backend(index, spec.backend, spec.variant)
-    else:
-        chosen = select_backend(index, spec.backend)
+    chosen = select_backend(index, spec.backend, spec.variant)
     raw = _dispatch(index, source_ids, spec.batch_key(chosen), spec.run_key())
     return wrap_raw_run(index, source_ids, chosen, raw, spec.variant)
 
@@ -460,21 +472,13 @@ def routed_sweep_backend(
     budget: int,
     probe: bool = True,
 ) -> str:
-    """Backend resolution for batch sweeps: probe-aware by default.
+    """Compatibility name for :func:`select_backend`.
 
-    ``backend=None`` consults the graph's double-cover rounds probe
-    (:mod:`repro.fastpath.probe`) exactly like the service router: long
-    expected floods (>= ``ORACLE_ROUND_THRESHOLD`` executed rounds,
-    budget-clamped) go to the O(n + m) oracle, everything else to the
-    frontier auto-selection.  The probe costs a few cover-BFS passes,
-    hoisted once per batch.  ``probe=False`` opts out and restores the
-    plain frontier auto-selection; explicit backends always win.
+    The name and signature remain because the repository benchmark
+    (``perfbench/layers.py``) imports them; ``budget`` and ``probe``
+    are ignored.
     """
-    if backend is not None or not probe:
-        return select_backend(index, backend)
-    from repro.fastpath.probe import probe_termination_rounds, routed_backend
-
-    return routed_backend(index, probe_termination_rounds(index), budget)
+    return select_backend(index, backend)
 
 
 def sweep(
@@ -485,7 +489,6 @@ def sweep(
     collect_senders: bool = False,
     collect_receives: bool = False,
     variant: Optional[VariantSpec] = None,
-    probe: bool = True,
 ) -> List[IndexedRun]:
     """Run many floods over one graph, indexing it exactly once.
 
@@ -506,11 +509,8 @@ def sweep(
     double-cover oracle answers termination rounds and message counts
     in O(n + m) per source set, independent of flood length, and is
     held bit-for-bit equal to the frontier engines by the equivalence
-    matrix.  ``backend=None`` is *probe-aware*: a cheap rounds probe
-    (computed once per batch) routes unambiguously round-heavy
-    topologies to the oracle automatically, the same rule the service
-    router applies -- pass ``probe=False`` to opt out and keep the
-    plain frontier auto-selection.
+    matrix.  ``backend=None`` is the frontier auto-selection of
+    :func:`select_backend`, the same rule as a single run.
 
     A ``variant`` spec (:mod:`repro.fastpath.variants`) runs every
     source set through the stochastic/memory stepper instead: run
@@ -539,7 +539,6 @@ def sweep(
             sources=tuple(sources),
             max_rounds=max_rounds,
             backend=backend,
-            probe=probe,
             variant=variant,
             stream=position if variant is not None else 0,
             collect_senders=collect_senders,
@@ -552,10 +551,7 @@ def sweep(
         # validates its budget and backend before returning nothing.
         index = IndexedGraph.of(graph)
         _resolve_budget(graph, max_rounds)
-        if variant is not None:
-            variant_backend(index, backend, variant)
-        else:
-            select_backend(index, backend)
+        select_backend(index, backend, variant)
         return []
     return sweep_specs(specs)
 
@@ -565,7 +561,7 @@ def ensure_homogeneous_specs(specs: Sequence[FloodSpec]) -> FloodSpec:
 
     Specs of one batch may differ only in sources and RNG ``stream``;
     anything that changes how the backend must run them (graph, budget,
-    backend request, probe policy, variant, collection flags) must
+    backend request, variant, collection flags) must
     match, because the whole batch resolves to a single
     :class:`BatchKey`.  Returns the lead spec.
     """
@@ -577,14 +573,13 @@ def ensure_homogeneous_specs(specs: Sequence[FloodSpec]) -> FloodSpec:
             spec.graph != head.graph
             or spec.max_rounds != head.max_rounds
             or spec.backend != head.backend
-            or spec.probe != head.probe
             or spec.variant != head.variant
             or spec.collect_senders != head.collect_senders
             or spec.collect_receives != head.collect_receives
         ):
             raise ConfigurationError(
                 "sweep_specs requires a homogeneous batch (same graph, "
-                "max_rounds, backend, probe, variant and collection "
+                "max_rounds, backend, variant and collection "
                 "flags); FloodSession.sweep groups heterogeneous specs"
             )
     return head
@@ -596,18 +591,11 @@ def batch_key_of(specs: Sequence[FloodSpec], index: IndexedGraph) -> BatchKey:
     The shared front half of every batch tier (serial
     :func:`sweep_specs`, the worker pool, the service's batch path):
     checks the specs agree on everything execution-relevant
-    (:func:`ensure_homogeneous_specs`), then runs backend resolution
-    once -- variant rules, or the probe-aware routing when the lead
-    spec says ``backend=None, probe=True``.
+    (:func:`ensure_homogeneous_specs`), then resolves the backend once
+    through :func:`select_backend`.
     """
     head = ensure_homogeneous_specs(specs)
-    if head.variant is not None:
-        chosen = variant_backend(index, head.backend, head.variant)
-    else:
-        chosen = routed_sweep_backend(
-            index, head.backend, head.max_rounds, head.probe
-        )
-    return head.batch_key(chosen)
+    return head.batch_key(select_backend(index, head.backend, head.variant))
 
 
 def sweep_specs(
@@ -617,7 +605,7 @@ def sweep_specs(
 
     The spec-native core behind :func:`sweep`: all specs must share
     their graph and execution-relevant fields (they may differ in
-    sources and RNG ``stream``), the CSR freeze and backend routing are
+    sources and RNG ``stream``), the CSR freeze and backend resolution are
     hoisted out of the loop, and each run draws from its *own* spec's
     stream key -- so a batch built by the :func:`sweep` shim reproduces
     the legacy position-keyed randomness exactly.

@@ -5,18 +5,26 @@ across source sets: every run reads the same frozen CSR index and
 writes an independent result.  This module shards a batch across
 ``multiprocessing`` workers with exactly one expensive transfer:
 
-* the parent pickles the :class:`~repro.fastpath.indexed.IndexedGraph`
-  **once** into a bytes payload (the index's pickle support drops its
-  process-local memo caches), and every worker unpickles it **once** in
-  its pool initializer -- never per run, never per chunk;
-* tasks are ``(position, [source-id lists], BatchKey, [stream keys])``
-  chunks -- a few dozen bytes each, carrying the *same*
+* the parent pickles the pool's own
+  :class:`~repro.fastpath.indexed.IndexedGraph` **once** into a bytes
+  payload (the index's pickle support drops its process-local memo
+  caches), and every worker unpickles it **once** in its pool
+  initializer -- never per run, never per chunk;
+* tasks are ``(position, [source-id lists], BatchKey, [stream keys],
+  shipped index)`` chunks -- a few dozen bytes each on the pool's own
+  graph, carrying the *same*
   :class:`~repro.api.spec.BatchKey` the batch was resolved to (the
   execution projection of the requests' :class:`~repro.api.spec.FloodSpec`)
   -- and results stream back as raw statistic tuples
   (:data:`~repro.fastpath.pure_backend.RawRun`), which the parent wraps
   into :class:`~repro.fastpath.engine.IndexedRun` against its own copy
   of the index;
+* one pool serves any number of graphs: a chunk for a graph other than
+  the pool's own ships that graph's pickled index (pickled once per
+  graph in the parent) next to its content digest, and each worker
+  keeps the last :data:`WORKER_INDEX_CACHE` such indexes unpickled in
+  an LRU keyed by :meth:`~repro.graphs.graph.Graph.content_digest`, so
+  a warm worker unpickles a foreign index once, not once per chunk;
 * ordered ``imap`` keeps results streaming back in deterministic input
   order regardless of which worker finishes first, so parallel output
   is **bit-identical** to the serial sweep -- same dataclasses, same
@@ -34,10 +42,11 @@ Entry points
 
 :class:`SweepPool`
     The reusable form for serving workloads: keep one pool of warm
-    workers per graph and push many batches through it, paying worker
-    start-up and index transfer once per pool instead of once per call.
-    :meth:`SweepPool.sweep_specs` is the spec-native batch form the
-    :class:`~repro.api.session.FloodSession` facade drives.
+    workers and push many batches through it, paying worker start-up
+    once per pool instead of once per call.  :meth:`SweepPool.sweep_specs`
+    is the spec-native batch form the
+    :class:`~repro.api.session.FloodSession` facade drives; it accepts
+    specs of any graph, so one session keeps one pool.
 
 Usage::
 
@@ -61,6 +70,7 @@ import multiprocessing
 import os
 import pickle
 import sys
+from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -69,15 +79,14 @@ from repro.errors import ConfigurationError
 from repro.fastpath.engine import (
     IndexedRun,
     _resolve_budget,
+    batch_key_of,
     dispatch_batch,
-    ensure_homogeneous_specs,
-    routed_sweep_backend,
     select_backend,
     wrap_raw_run,
 )
 from repro.fastpath.indexed import IndexedGraph
 from repro.fastpath.pure_backend import RawRun
-from repro.fastpath.variants import VariantSpec, variant_backend
+from repro.fastpath.variants import VariantSpec
 from repro.graphs.graph import Graph, Node
 
 MIN_PARALLEL_BATCH = 32
@@ -92,13 +101,25 @@ they get one).
 MAX_CHUNK = 64
 """Upper bound on the chunk heuristic, to keep results streaming."""
 
-_Task = Tuple[int, List[List[int]], BatchKey, Optional[List[int]]]
+WORKER_INDEX_CACHE = 8
+"""Foreign-graph indexes kept ready: unpickled in each worker, pickled
+in the parent.
+
+A worker unpickles a shipped index on first use and keeps the last
+this-many by content digest; a graph evicted from the LRU is simply
+unpickled again from the next chunk that ships it."""
+
+_Shipped = Optional[Tuple[str, bytes]]
+"""``None`` for the pool's own graph, else ``(content digest, pickled index)``."""
+_Task = Tuple[int, List[List[int]], BatchKey, Optional[List[int]], _Shipped]
 _TaskResult = Tuple[int, List[RawRun]]
 
-# Per-worker state, populated exactly once by _init_worker.  Plain
-# module globals: each worker process gets its own copy, and the pool
-# initializer runs before any task, so tasks never race on it.
+# Per-worker state.  Plain module globals: each worker process gets its
+# own copy, the pool initializer sets the own index before any task
+# runs, and a worker runs one task at a time, so tasks never race on it.
 _WORKER_INDEX: Optional[IndexedGraph] = None
+# repro-lint: disable=REP007 -- pure memo LRU: a shipped index is a pure function of its graph's content digest, so per-worker warmth never changes results
+_WORKER_INDEXES: "OrderedDict[str, IndexedGraph]" = OrderedDict()
 
 
 def worker_count(workers: Optional[int] = None) -> int:
@@ -134,9 +155,26 @@ def default_chunksize(batch_size: int, workers: int) -> int:
 
 
 def _init_worker(payload: bytes) -> None:
-    """Pool initializer: unpickle the shared CSR index, once per worker."""
+    """Pool initializer: unpickle the pool's own CSR index, once per worker."""
     global _WORKER_INDEX
     _WORKER_INDEX = pickle.loads(payload)
+
+
+def _worker_index(shipped: _Shipped) -> IndexedGraph:
+    """The index a chunk runs on: the pool's own, or a shipped one (LRU)."""
+    if shipped is None:
+        assert _WORKER_INDEX is not None, "worker initializer did not run"
+        return _WORKER_INDEX
+    digest, payload = shipped
+    index = _WORKER_INDEXES.get(digest)
+    if index is None:
+        index = pickle.loads(payload)
+        _WORKER_INDEXES[digest] = index
+        if len(_WORKER_INDEXES) > WORKER_INDEX_CACHE:
+            _WORKER_INDEXES.popitem(last=False)
+    else:
+        _WORKER_INDEXES.move_to_end(digest)
+    return index
 
 
 def _run_chunk(task: _Task) -> _TaskResult:
@@ -149,8 +187,10 @@ def _run_chunk(task: _Task) -> _TaskResult:
     bitset sweep inside the worker too; ``MAX_CHUNK`` = 64 keeps those
     chunks word-aligned).
     """
-    position, id_lists, key, run_keys = task
-    return position, dispatch_batch(_WORKER_INDEX, id_lists, key, run_keys)
+    position, id_lists, key, run_keys, shipped = task
+    return position, dispatch_batch(
+        _worker_index(shipped), id_lists, key, run_keys
+    )
 
 
 def _wrap_runs(
@@ -188,10 +228,13 @@ def _variant_run_keys(
 class SweepPool:
     """A persistent pool of workers warmed with one graph's CSR index.
 
-    The serving-scale shape: build once per graph, push many batches
-    through :meth:`sweep`.  Construction forks/spawns ``workers``
-    processes and ships each the pickled index exactly once; after
-    that, every batch costs only its per-chunk dispatch.
+    The serving-scale shape: build once, push many batches through
+    :meth:`sweep` / :meth:`sweep_specs`.  Construction forks/spawns
+    ``workers`` processes and ships each the pickled index of ``graph``
+    (the pool's own) exactly once; after that, every batch on that
+    graph costs only its per-chunk dispatch.  :meth:`sweep_specs` also
+    runs specs of other graphs: their chunks carry the pickled index,
+    which each worker unpickles once into its digest-keyed LRU.
 
     Use as a context manager (or call :meth:`close`) to reap the
     workers deterministically.
@@ -205,7 +248,7 @@ class SweepPool:
     ) -> None:
         self.graph = graph
         self.index = IndexedGraph.of(graph)
-        self._probe_rounds: Optional[Tuple[int, ...]] = None
+        self._payloads: "OrderedDict[Graph, Tuple[str, bytes]]" = OrderedDict()
         self.workers = worker_count(workers)
         if start_method is None and sys.platform == "linux":
             # fork is the cheapest way to stand workers up, but it is
@@ -233,16 +276,14 @@ class SweepPool:
         collect_senders: bool = False,
         collect_receives: bool = False,
         variant: Optional[VariantSpec] = None,
-        probe: bool = True,
     ) -> List[IndexedRun]:
         """Run one batch across the pool; results in input order.
 
         Same signature and semantics as :func:`repro.fastpath.sweep`
         (validation, budget resolution and backend selection all happen
         in the parent, so errors surface before any work is
-        dispatched), including the probe-aware ``backend=None`` routing
-        and the ``variant`` stepper lane with its per-position seed
-        streams.  A legacy shim over the spec pipeline: the kwargs
+        dispatched), including the ``variant`` stepper lane with its
+        per-position seed streams.  A legacy shim over the spec pipeline: the kwargs
         resolve to one :class:`BatchKey` exactly like a
         :meth:`sweep_specs` batch.
         """
@@ -250,7 +291,7 @@ class SweepPool:
             self.index.resolve_sources(sources) for sources in source_sets
         ]
         budget = _resolve_budget(self.graph, max_rounds)
-        chosen = self._resolve_backend(backend, budget, variant, probe)
+        chosen = select_backend(self.index, backend, variant)
         key = BatchKey(budget, chosen, collect_senders, collect_receives, variant)
         return self._sweep_ids(
             id_lists, key, chunksize, _variant_run_keys(variant, len(id_lists))
@@ -264,38 +305,50 @@ class SweepPool:
         """Run one homogeneous spec batch across the pool, in input order.
 
         The pool twin of :func:`repro.fastpath.engine.sweep_specs`: the
-        specs must agree on graph, budget, backend, probe, variant and
+        specs must agree on graph, budget, backend, variant and
         collection flags (they may differ in sources and RNG
         ``stream``), resolve to one :class:`BatchKey`, and every run
         carries its own spec's stream key into whatever chunk it lands
         on -- bit-identical to the serial spec sweep for every worker
-        count and chunk size.
+        count and chunk size.  The specs' graph need not be the pool's
+        own: its chunks then ship that graph's pickled index.
         """
         specs = list(specs)
         if not specs:
             return []
-        if specs[0].graph != self.graph:
-            raise ConfigurationError(
-                "sweep_specs: the specs' graph is not this pool's graph"
-            )
-        key = self._spec_batch_key(specs)
-        id_lists = [
-            self.index.resolve_sources(spec.sources) for spec in specs
-        ]
+        graph = specs[0].graph
+        index = (
+            self.index
+            if graph is self.graph or graph == self.graph
+            else specs[0].index()
+        )
+        key = batch_key_of(specs, index)
+        id_lists = [index.resolve_sources(spec.sources) for spec in specs]
         run_keys = (
             [spec.run_key() for spec in specs]
             if key.variant is not None
             else None
         )
-        return self._sweep_ids(id_lists, key, chunksize, run_keys)
+        return self._sweep_ids(id_lists, key, chunksize, run_keys, index)
 
-    def _spec_batch_key(self, specs: Sequence[FloodSpec]) -> BatchKey:
-        """Batch-resolve specs through the pool's cached probe."""
-        head = ensure_homogeneous_specs(specs)
-        chosen = self._resolve_backend(
-            head.backend, head.max_rounds, head.variant, head.probe
-        )
-        return head.batch_key(chosen)
+    def _shipped(self, index: IndexedGraph) -> _Shipped:
+        """What a chunk on ``index`` carries: nothing for the own graph,
+        else the (digest, pickled index) pair, pickled once per graph."""
+        if index is self.index:
+            return None
+        graph = index.graph
+        shipped = self._payloads.get(graph)
+        if shipped is None:
+            shipped = (
+                graph.content_digest(),
+                pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL),
+            )
+            self._payloads[graph] = shipped
+            if len(self._payloads) > WORKER_INDEX_CACHE:
+                self._payloads.popitem(last=False)
+        else:
+            self._payloads.move_to_end(graph)
+        return shipped
 
     def sweep_async(
         self,
@@ -306,7 +359,6 @@ class SweepPool:
         collect_senders: bool = False,
         collect_receives: bool = False,
         variant: Optional[VariantSpec] = None,
-        probe: bool = True,
     ) -> "Future[List[IndexedRun]]":
         """Submit one batch without blocking; returns a future of the runs.
 
@@ -324,35 +376,11 @@ class SweepPool:
             self.index.resolve_sources(sources) for sources in source_sets
         ]
         budget = _resolve_budget(self.graph, max_rounds)
-        chosen = self._resolve_backend(backend, budget, variant, probe)
+        chosen = select_backend(self.index, backend, variant)
         key = BatchKey(budget, chosen, collect_senders, collect_receives, variant)
         return self.submit_batch(
             id_lists, key, chunksize, _variant_run_keys(variant, len(id_lists))
         )
-
-    def _resolve_backend(
-        self,
-        backend: Optional[str],
-        budget: int,
-        variant: Optional[VariantSpec],
-        probe: bool,
-    ) -> str:
-        """The same backend rules as the serial sweep, on the pool index.
-
-        The rounds probe is cached on the pool: the index is frozen for
-        the pool's lifetime, and a warm pool serving many small batches
-        (its whole reason to exist) must not pay O(samples * (n + m))
-        cover-BFS per batch.
-        """
-        if variant is not None:
-            return variant_backend(self.index, backend, variant)
-        if backend is not None or not probe:
-            return select_backend(self.index, backend)
-        from repro.fastpath.probe import probe_termination_rounds, routed_backend
-
-        if self._probe_rounds is None:
-            self._probe_rounds = probe_termination_rounds(self.index)
-        return routed_backend(self.index, self._probe_rounds, budget)
 
     def submit_batch(
         self,
@@ -422,9 +450,11 @@ class SweepPool:
         key: BatchKey,
         chunksize: Optional[int],
         run_keys: Optional[Sequence[int]] = None,
+        shipped: _Shipped = None,
     ) -> List[_Task]:
         """Shard id lists into positioned chunk tasks (shared by both paths).
 
+        Every chunk carries ``shipped`` (see :meth:`_shipped`).
         ``run_keys`` is sliced with the same offsets as ``id_lists``: a
         run carries its stream key with it into whichever chunk and
         worker it lands on.  Variant work with no explicit keys gets
@@ -452,6 +482,7 @@ class SweepPool:
                     if run_keys is not None
                     else None
                 ),
+                shipped,
             )
             for start in range(0, len(id_lists), chunksize)
         ]
@@ -462,11 +493,20 @@ class SweepPool:
         key: BatchKey,
         chunksize: Optional[int],
         run_keys: Optional[Sequence[int]] = None,
+        index: Optional[IndexedGraph] = None,
     ) -> List[IndexedRun]:
-        """Dispatch already-resolved id lists (the post-validation core)."""
+        """Dispatch already-resolved id lists (the post-validation core).
+
+        ``index`` is the graph the ids belong to (default: the pool's
+        own); results wrap against it.
+        """
         if not id_lists:
             return []
-        tasks = self._make_tasks(id_lists, key, chunksize, run_keys)
+        if index is None:
+            index = self.index
+        tasks = self._make_tasks(
+            id_lists, key, chunksize, run_keys, self._shipped(index)
+        )
         raw_runs: List[RawRun] = []
         # Ordered imap: chunks stream back in submission order even
         # when a later chunk finishes first, so concatenation recovers
@@ -474,7 +514,7 @@ class SweepPool:
         for position, chunk_results in self._pool.imap(_run_chunk, tasks):
             assert position == len(raw_runs), "chunk streamed out of order"
             raw_runs.extend(chunk_results)
-        return _wrap_runs(self.index, id_lists, raw_runs, key)
+        return _wrap_runs(index, id_lists, raw_runs, key)
 
     # ------------------------------------------------------------------
 
@@ -552,7 +592,6 @@ def parallel_sweep(
     collect_senders: bool = False,
     collect_receives: bool = False,
     variant: Optional[VariantSpec] = None,
-    probe: bool = True,
 ) -> List[IndexedRun]:
     """Sharded drop-in for :func:`repro.fastpath.sweep`.
 
@@ -584,10 +623,7 @@ def parallel_sweep(
     index = IndexedGraph.of(graph)
     id_lists = [index.resolve_sources(sources) for sources in source_sets]
     budget = _resolve_budget(graph, max_rounds)
-    if variant is not None:
-        chosen = variant_backend(index, backend, variant)
-    else:
-        chosen = routed_sweep_backend(index, backend, budget, probe)
+    chosen = select_backend(index, backend, variant)
     if chunksize is not None and chunksize < 1:
         raise ConfigurationError("chunksize must be >= 1")
     key = BatchKey(budget, chosen, collect_senders, collect_receives, variant)

@@ -9,12 +9,10 @@ naturally, and degrade gracefully under load.
   sources)`` / ``query_batch``, micro-batching of concurrent requests,
   bounded-queue backpressure (:class:`QueueFull` or FIFO waiting,
   caller's choice), per-request round budgets and timeouts
-  (:class:`QueryTimeout`), per-topology registration/caching, and
-  rounds-aware backend routing;
+  (:class:`QueryTimeout`) and per-topology registration/caching; each
+  request's backend comes from :func:`repro.fastpath.select_backend`,
+  the rule every tier shares;
 * :class:`MicroBatcher` -- the window/size coalescing policy;
-* :class:`Router` -- the per-graph cached routing decisions (long
-  floods to the O(n + m) oracle backend, short dense ones to the
-  vectorised frontier engine);
 * :mod:`repro.service.errors` -- the typed error family
   (:class:`ServiceError` and friends, all under
   :class:`repro.errors.ReproError`).
@@ -33,7 +31,6 @@ from repro.service.errors import (
     ServiceClosed,
     ServiceError,
 )
-from repro.service.routing import Router
 from repro.service.service import FloodService, ServiceStats
 
 __all__ = [
@@ -41,7 +38,6 @@ __all__ = [
     "MicroBatcher",
     "QueryTimeout",
     "QueueFull",
-    "Router",
     "ServiceClosed",
     "ServiceError",
     "ServiceStats",

@@ -5,12 +5,13 @@ low-latency query service: concurrent callers ``await
 service.query(graph, sources)`` and the service coalesces their
 requests into sharded batches over warm :class:`~repro.parallel.SweepPool`
 workers, with bounded-queue backpressure, per-request round budgets
-and timeouts, per-topology caching and rounds-aware backend routing.
+and timeouts, per-topology caching, and the same backend resolution
+as every other tier (:func:`~repro.fastpath.engine.select_backend`).
 
 Dataflow (one request's life)::
 
     caller ──await query()──► FloodSpec built + validated (errors raise here)
-                              route backend (probe cache)
+                              resolve backend (select_backend)
                               admit: bounded pending gate ── full? ──► QueueFull
                                                                   or await slot
                               micro-batcher bucket keyed by the spec's
@@ -34,7 +35,8 @@ max_rounds, backend)`` is **bit-identical** to
 count, batching window, and interleaving of concurrent callers.
 Batching and sharding change scheduling, never content: requests keep
 arrival order inside a batch, the pool streams results back in input
-order, and routing is a pure function of (graph, budget), not of load.
+order, and backend resolution is a pure function of the spec and its
+graph, not of load.
 """
 
 from __future__ import annotations
@@ -60,14 +62,13 @@ from repro.api.spec import BatchKey, FloodSpec
 from repro.cache.keys import decode_run, encode_run, result_cache_key
 from repro.cache.lru import CacheStats, ResultCache
 from repro.errors import ConfigurationError
-from repro.fastpath.engine import IndexedRun
+from repro.fastpath.engine import IndexedRun, select_backend
 from repro.fastpath.indexed import IndexedGraph
 from repro.fastpath.variants import VariantSpec
 from repro.graphs.graph import Graph, Node
 from repro.parallel.pool import SweepPool, serial_batch_ids, worker_count
 from repro.service.batcher import MicroBatcher
 from repro.service.errors import QueryTimeout, QueueFull, ServiceClosed, ServiceError
-from repro.service.routing import Router
 
 RAISE = "raise"
 WAIT = "wait"
@@ -101,7 +102,7 @@ class ServiceStats:
     ``batched_requests / batches`` is the effective coalescing factor;
     ``rejected`` counts :class:`~repro.service.errors.QueueFull`
     rejections, ``waited`` the admissions that blocked on a slot, and
-    ``backends`` how routing actually distributed the traffic.
+    ``backends`` how backend resolution distributed the traffic.
 
     The ``cache_*`` counters are all zero unless the service was built
     with a result cache: ``cache_hits`` are queries served straight
@@ -315,7 +316,6 @@ class FloodService:
         on_full: str = RAISE,
         default_timeout: Optional[float] = None,
         start_method: Optional[str] = None,
-        probe_samples: Optional[int] = None,
         cache: Optional[ResultCache] = None,
     ) -> None:
         if workers is not None and workers < 0:
@@ -349,7 +349,6 @@ class FloodService:
         self._results = cache
         self._inflight_results: Dict[str, "asyncio.Future[bytes]"] = {}
         self._start_method = start_method
-        self._router = Router(samples=probe_samples)
         self._gate = _AdmissionGate(max_pending)
         self._batcher = MicroBatcher(batch_window, max_batch, self._dispatch)
         self._graphs: "OrderedDict[Graph, _GraphEntry]" = OrderedDict()
@@ -415,9 +414,8 @@ class FloodService:
         """Register (or touch) a topology; returns its frozen CSR index.
 
         Registration is where the per-graph costs are paid once: the
-        CSR freeze, the pickled-index transfer into a warm worker pool
-        (when ``workers >= 1``), and the routing probe on first routed
-        query.  This call **blocks** while the pool forks and warms --
+        CSR freeze and the pickled-index transfer into a warm worker
+        pool (when ``workers >= 1``).  This call **blocks** while the pool forks and warms --
         that is its purpose (move the warm-up off the first request's
         latency); call it from setup code, not from a latency-sensitive
         coroutine.  ``query``/``query_batch`` auto-register unseen
@@ -430,9 +428,6 @@ class FloodService:
         self._clear_failed_warmup(entry)
         if self.workers >= 1 and entry.pool is None and entry.pool_task is None:
             entry.pool = self._build_pool(entry.graph)
-        # Warm the routing probe as well -- register() is the blocking
-        # warm-up hook, and the first routed query should pay nothing.
-        self._router.probe(entry.index)
         return entry.index
 
     @staticmethod
@@ -512,19 +507,9 @@ class FloodService:
             None, partial(self._build_pool, entry.graph)
         )
         entry.pool = pool
-        if self._router.peek(entry.index) is None:
-            # Pre-compute the routing probe off-loop too: its cover-BFS
-            # passes are O(samples * (n + m)) and would otherwise run on
-            # the loop thread during the first routed query.  compute()
-            # is pure; only the cache write happens on the loop.
-            rounds = await loop.run_in_executor(
-                None, partial(self._router.compute, entry.index)
-            )
-            self._router.prime(entry.index, rounds)
         return pool
 
     def _evict(self, entry: _GraphEntry) -> None:
-        self._router.forget(entry.index)
         if entry.pool is None and entry.pool_task is None:
             return
         if self._loop is not None and self._loop.is_running():
@@ -584,7 +569,7 @@ class FloodService:
         ``variant.seed`` (it runs as position 0 of that stream) --
         identical requests return identical results no matter how they
         were coalesced; Monte-Carlo callers vary the seed per trial or
-        use :meth:`query_batch`.  Stochastic requests never route to
+        use :meth:`query_batch`.  Stochastic requests never resolve to
         the oracle.
 
         A legacy shim: the kwargs become a
@@ -612,7 +597,8 @@ class FloodService:
         """One flood query from a validated :class:`FloodSpec`.
 
         The spec-native core of :meth:`query`: the spec was validated
-        at construction, so the service only routes it, admits it, and
+        at construction, so the service only resolves its backend,
+        admits it, and
         buckets it under ``(entry, spec.batch_key(backend))`` --
         equal specs (and kwarg queries that canonicalise to them)
         coalesce into the same pool batch.  The request runs on the RNG
@@ -892,7 +878,7 @@ class FloodService:
     async def _prepare_spec(
         self, spec: FloodSpec, slots: int
     ) -> Tuple[_GraphEntry, str]:
-        """Shared front half: route a validated spec, acquire a tracked entry.
+        """Shared front half: resolve the backend, acquire a tracked entry.
 
         The spec carries its validation from construction time, so the
         only checks left are service-level (open, fast-path-runnable)
@@ -910,21 +896,8 @@ class FloodService:
                 f"use FloodSession.run/aquery (the service serves the fast "
                 f"path)"
             )
+        chosen = select_backend(spec.index(), spec.backend, spec.variant)
         entry = await self._entry_async(spec.graph, slots)
-        try:
-            # Routing runs after entry acquisition so a cold graph's
-            # probe is the one _warm_pool precomputed off-loop; for a
-            # warm topology this is a cache hit.
-            chosen = self._router.resolve(
-                entry.index,
-                spec.backend,
-                spec.max_rounds,
-                spec.variant,
-                probe=spec.probe,
-            )
-        except BaseException:
-            entry.untrack(slots)
-            raise
         return entry, chosen
 
     async def _admit(self, slots: int, on_full: Optional[str]) -> None:

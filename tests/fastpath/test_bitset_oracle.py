@@ -15,9 +15,9 @@ This suite pins:
 * the word-packing edge cases: batch sizes off the 64-bit word
   boundary, single-run batches, all-nodes batches, and tail words that
   are mostly empty;
-* the routed paths -- serial ``sweep``/``sweep_specs``,
-  ``FloodSession.sweep``, ``parallel_sweep`` pool chunks and the
-  probe-routed ``backend=None`` lane -- all bit-identical to the
+* the oracle-resolved paths -- serial ``sweep``/``sweep_specs``,
+  ``FloodSession.sweep``, ``parallel_sweep`` pool chunks and an
+  explicit ``backend="oracle"`` long flood -- all bit-identical to the
   per-source oracle, plus the eligibility gate (variants and small
   batches never enter the bitset lane).
 """
@@ -244,16 +244,31 @@ class TestRoutedPaths:
                 for run, reference in zip(runs, serial):
                     assert_runs_equal(run, reference)
 
-    def test_probe_routes_long_floods_into_bitset_lane(self):
-        # A big odd cycle floods for n rounds: the probe routes
-        # backend=None to the oracle, whose batch then takes the
-        # bitset lane -- still bit-identical to the per-source oracle.
+    def test_explicit_oracle_takes_bitset_lane_on_long_floods(
+        self, monkeypatch
+    ):
+        # A big odd cycle floods for n rounds.  backend=None keeps the
+        # frontier selection, so the bitset lane is reached only by an
+        # explicit backend="oracle" -- and stays bit-identical to the
+        # per-source oracle.
         graph = cycle_graph(90)
         source_sets = [[v] for v in graph.nodes()]
-        runs = sweep(graph, source_sets, backend=None, probe=True)
+        batches = []
+        original = bitset_oracle.run_batch
+
+        def spy(index, id_lists, *args, **kwargs):
+            batches.append(len(id_lists))
+            return original(index, id_lists, *args, **kwargs)
+
+        monkeypatch.setattr(engine.bitset_oracle, "run_batch", spy)
+        runs = sweep(graph, source_sets, backend="oracle")
+        assert batches == [len(source_sets)]
         assert all(run.backend == "oracle" for run in runs)
         for run, reference in zip(runs, self.expected(graph, source_sets)):
             assert_runs_equal(run, reference)
+        auto = sweep(graph, source_sets)
+        assert batches == [len(source_sets)]
+        assert all(run.backend != "oracle" for run in auto)
 
 
 class TestEligibilityGate:

@@ -13,7 +13,7 @@ from concurrent.futures import Future
 import pytest
 
 from repro.errors import ConfigurationError, NodeNotFoundError
-from repro.fastpath import IndexedGraph, routed_sweep_backend, sweep
+from repro.fastpath import IndexedGraph, select_backend, sweep
 from repro.graphs import cycle_graph, erdos_renyi
 from repro.parallel import SweepPool, serial_sweep_ids
 from repro.parallel.pool import _resolve_budget
@@ -90,7 +90,7 @@ class TestSerialSweepIds:
         index = IndexedGraph.of(graph)
         id_lists = [index.resolve_sources(s) for s in source_sets]
         budget = _resolve_budget(graph, None)
-        backend = routed_sweep_backend(index, None, budget)
+        backend = select_backend(index, None)
         runs = serial_sweep_ids(index, id_lists, budget, backend)
         assert_runs_identical(sweep(graph, source_sets), runs)
 

@@ -1,28 +1,33 @@
-"""Rounds-aware routing: long floods to the oracle, short ones to the
-frontier engines, explicit backends always respected.
+"""Service backend resolution: the one rule, no rounds probe.
 
-Routing must also be *deterministic* -- a pure function of (graph,
-budget) -- so the backend recorded on a result never depends on load
-or interleaving.
+The service resolves every request with ``select_backend`` -- the rule
+``FloodSession.run``/``sweep`` use -- so a long flood gets the frontier
+auto-selection like any other, explicit backends are always
+respected, and the recorded backend is a pure function of the spec and
+its graph, never of load or interleaving.  The rounds probe survives as
+a diagnostic (``probe_termination_rounds``) and is pinned here too.
 """
 
 from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.fastpath import (
     IndexedGraph,
-    ORACLE_ROUND_THRESHOLD,
-    available_backends,
-    expected_rounds,
     probe_termination_rounds,
-    routed_backend,
     select_backend,
     sweep,
 )
 from repro.graphs import complete_graph, cycle_graph, erdos_renyi
 from repro.service import FloodService
-from repro.service.routing import Router
+
+LONG_CYCLE = 129
+
+
+def auto(graph):
+    return select_backend(IndexedGraph.of(graph), None)
 
 
 def query_backend(graph, sources, **kwargs):
@@ -57,60 +62,29 @@ class TestProbe:
             index
         )
 
-    def test_expected_rounds_clamps_to_budget(self):
-        assert expected_rounds((100, 90)) == 100
-        assert expected_rounds((100, 90), budget=10) == 10
-        assert expected_rounds((5,), budget=10) == 5
-        assert expected_rounds(()) == 0
 
+class TestServiceResolution:
+    def test_long_floods_resolve_to_frontier_selection(self):
+        graph = cycle_graph(LONG_CYCLE)
+        assert query_backend(graph, [0]) == auto(graph) != "oracle"
 
-class TestRoutedBackend:
-    def test_long_cycle_routes_to_oracle(self):
-        n = 4 * ORACLE_ROUND_THRESHOLD + 1
-        index = IndexedGraph.of(cycle_graph(n))
-        probe = probe_termination_rounds(index)
-        assert routed_backend(index, probe) == "oracle"
-
-    def test_short_dense_graph_routes_to_frontier(self):
-        index = IndexedGraph.of(complete_graph(12))
-        probe = probe_termination_rounds(index)
-        chosen = routed_backend(index, probe)
-        assert chosen == select_backend(index, None)
-        assert chosen != "oracle"
-
-    def test_tight_budget_reverts_to_frontier(self):
-        """A budget below the threshold makes the per-round engines
-        cheap again, even on a long-flood family."""
-        n = 4 * ORACLE_ROUND_THRESHOLD + 1
-        index = IndexedGraph.of(cycle_graph(n))
-        probe = probe_termination_rounds(index)
-        assert routed_backend(index, probe, budget=2) != "oracle"
-        assert routed_backend(index, probe, budget=n) == "oracle"
-
-
-class TestServiceRouting:
-    def test_service_routes_long_floods_to_oracle(self):
-        graph = cycle_graph(4 * ORACLE_ROUND_THRESHOLD + 1)
-        assert query_backend(graph, [0]) == "oracle"
-
-    def test_service_routes_short_floods_to_frontier(self):
+    def test_short_floods_resolve_to_frontier_selection(self):
         graph = complete_graph(12)
-        backend = query_backend(graph, [0])
-        assert backend in available_backends()
-        assert backend != "oracle"
+        assert query_backend(graph, [0]) == auto(graph)
 
     def test_explicit_backend_wins(self):
-        graph = cycle_graph(4 * ORACLE_ROUND_THRESHOLD + 1)
+        graph = cycle_graph(LONG_CYCLE)
         assert query_backend(graph, [0], backend="pure") == "pure"
+        assert query_backend(graph, [0], backend="oracle") == "oracle"
         graph2 = complete_graph(10)
         assert query_backend(graph2, [0], backend="oracle") == "oracle"
 
-    def test_budget_aware_service_routing(self):
-        graph = cycle_graph(4 * ORACLE_ROUND_THRESHOLD + 1)
-        assert query_backend(graph, [0], max_rounds=2) != "oracle"
+    def test_budget_does_not_change_resolution(self):
+        graph = cycle_graph(LONG_CYCLE)
+        assert query_backend(graph, [0], max_rounds=2) == auto(graph)
 
-    def test_routed_results_still_match_serial(self):
-        """Whatever routing picks, the statistics equal the serial
+    def test_results_still_match_serial(self):
+        """Whatever the rule picks, the statistics equal the serial
         sweep with that backend."""
         graph = cycle_graph(101)
         sets = [[v] for v in graph.nodes()[:6]]
@@ -130,126 +104,41 @@ class TestServiceRouting:
             assert expected.round_edge_counts == actual.round_edge_counts
 
     def test_stats_record_backend_mix(self):
-        long_cycle = cycle_graph(4 * ORACLE_ROUND_THRESHOLD + 1)
+        long_cycle = cycle_graph(LONG_CYCLE)
         dense = complete_graph(12)
 
         async def run():
             async with FloodService(workers=0) as service:
                 await service.query(long_cycle, [0])
                 await service.query(dense, [0])
+                await service.query(dense, [1], backend="oracle")
                 return dict(service.stats.backends)
 
         mix = asyncio.run(run())
         assert mix.get("oracle") == 1
-        assert sum(mix.values()) == 2
+        assert sum(mix.values()) == 3
 
-
-class TestRouterCache:
-    def test_probe_computed_once_per_index(self, monkeypatch):
-        import repro.service.routing as routing_module
-
-        calls = []
-        original = routing_module.probe_termination_rounds
-
-        def counting(index, *args, **kwargs):
-            calls.append(index)
-            return original(index, *args, **kwargs)
-
-        monkeypatch.setattr(
-            routing_module, "probe_termination_rounds", counting
-        )
-        router = Router()
-        index = IndexedGraph.of(cycle_graph(15))
-        budget = 100
-        first = router.resolve(index, None, budget)
-        second = router.resolve(index, None, budget)
-        assert first == second
-        assert len(calls) == 1
-
-    def test_explicit_backend_skips_probe(self, monkeypatch):
-        import repro.service.routing as routing_module
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_service_never_probes(self, monkeypatch, workers):
+        """Registration, pool warm-up and queries run no rounds probe."""
+        import repro.fastpath.probe as probe_module
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("explicit backends must not probe")
+            raise AssertionError("the service must not probe")
 
-        monkeypatch.setattr(routing_module, "probe_termination_rounds", boom)
-        router = Router()
-        index = IndexedGraph.of(cycle_graph(15))
-        assert router.resolve(index, "pure", 100) == "pure"
-
-    def test_forget_drops_cache(self):
-        router = Router()
-        index = IndexedGraph.of(cycle_graph(15))
-        router.resolve(index, None, 100)
-        assert router._probes
-        router.forget(index)
-        assert not router._probes
-
-    def test_probe_survives_index_object_churn(self, monkeypatch):
-        """The cache keys by graph, not index identity: a recreated
-        IndexedGraph (global index-LRU churn) must neither recompute
-        the probe nor leak a second cache entry."""
-        import repro.service.routing as routing_module
-        from repro.fastpath.indexed import IndexedGraph as IG
-
-        calls = []
-        original = routing_module.probe_termination_rounds
-
-        def counting(index, *args, **kwargs):
-            calls.append(index)
-            return original(index, *args, **kwargs)
-
-        monkeypatch.setattr(
-            routing_module, "probe_termination_rounds", counting
-        )
-        graph = cycle_graph(15)
-        router = Router()
-        first = router.resolve(IG(graph), None, 100)  # fresh object
-        second = router.resolve(IG(graph), None, 100)  # another fresh object
-        assert first == second
-        assert len(calls) == 1
-        assert len(router._probes) == 1
-
-    def test_register_warms_the_probe(self):
-        """register() is the blocking warm-up hook: after it, the first
-        routed query must find the probe cached (no cover-BFS on the
-        event-loop thread)."""
-        graph = cycle_graph(21)
-        service = FloodService(workers=0)
-        service.register(graph)
-        assert service._router.peek(IndexedGraph.of(graph)) is not None
-
-    def test_pooled_auto_registration_warms_the_probe_off_loop(self):
-        """Auto-registering a cold graph through query() computes the
-        probe exactly once, on an executor thread -- not on the event
-        loop -- and routing then resolves from the cache."""
-        import threading
-
+        monkeypatch.setattr(probe_module, "probe_termination_rounds", boom)
         graph = cycle_graph(23)
-        on_main_thread = []
 
         async def run():
-            async with FloodService(workers=1) as service:
-                original = service._router.compute
+            async with FloodService(workers=workers) as service:
+                service.register(graph)
+                cold = await service.query(cycle_graph(25), [0])
+                return await service.query(graph, [0]), cold
 
-                def spy(index):
-                    on_main_thread.append(
-                        threading.current_thread()
-                        is threading.main_thread()
-                    )
-                    return original(index)
+        warm, cold = asyncio.run(run())
+        assert warm.termination_round == 23
+        assert cold.termination_round == 25
 
-                service._router.compute = spy
-                return await service.query(graph, [0])
-
-        result = asyncio.run(run())
-        assert result.termination_round == 23
-        assert on_main_thread == [False]
-
-    def test_probe_cache_is_bounded(self):
-        from repro.service.routing import MAX_CACHED_PROBES
-
-        router = Router(samples=1)
-        for n in range(3, 3 + MAX_CACHED_PROBES + 10):
-            router.resolve(IndexedGraph.of(cycle_graph(n)), None, 1)
-        assert len(router._probes) == MAX_CACHED_PROBES
+    def test_probe_samples_option_is_gone(self):
+        with pytest.raises(TypeError):
+            FloodService(workers=0, probe_samples=2)

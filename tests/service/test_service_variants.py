@@ -6,7 +6,7 @@ variant=...)`` of the same request for every worker mode and
 interleaving -- coalescing cannot move a query onto a different RNG
 stream, because stream keys are derived per request, never from batch
 position.  Stochastic requests must never route to the deterministic
-double-cover oracle, explicitly or via the rounds probe.
+double-cover oracle, explicitly or by auto-selection.
 """
 
 from __future__ import annotations
@@ -16,7 +16,14 @@ import asyncio
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fastpath import bernoulli_loss, k_memory, sweep, thinning
+from repro.fastpath import (
+    IndexedGraph,
+    bernoulli_loss,
+    k_memory,
+    select_backend,
+    sweep,
+    thinning,
+)
 from repro.graphs import cycle_graph, erdos_renyi
 from repro.service import FloodService
 
@@ -109,9 +116,9 @@ class TestVariantQueries:
 
 class TestVariantRouting:
     def test_stochastic_never_routes_to_oracle(self):
-        # This topology's rounds probe sends deterministic backend=None
-        # queries to the oracle; the stochastic variant must still land
-        # on the pure stepper.
+        # Deterministic backend=None queries take the frontier
+        # auto-selection; the stochastic variant lands on the pure
+        # stepper whatever that selection is.
         graph = cycle_graph(64)
 
         async def main():
@@ -123,9 +130,11 @@ class TestVariantRouting:
                 return deterministic, stochastic, dict(service.stats.backends)
 
         deterministic, stochastic, backends = run(main())
-        assert deterministic.backend == "oracle"
+        assert deterministic.backend == select_backend(
+            IndexedGraph.of(graph), None
+        )
         assert stochastic.backend == "pure"
-        assert backends.get("pure") == 1
+        assert sum(backends.values()) == 2
 
     def test_explicit_oracle_with_variant_raises_before_admission(self):
         graph = cycle_graph(8)
