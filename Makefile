@@ -23,7 +23,10 @@
 #                 (every built-in scenario's fast path pinned
 #                 bit-identical to its set-based reference across
 #                 budgets, seed streams, worker counts and cache
-#                 hits) + the examples suite (the
+#                 hits), the numpy-variant subset (the stochastic
+#                 kinds' numpy lane pinned bit-identical to the pure
+#                 stepper and the references; fail-fast likewise)
+#                 + the examples suite (the
 #                 facade-based examples run whole per PR) + the
 #                 tier-1 suite
 #   make bench  - full benchmark run; rewrites BENCH_fastpath.json
@@ -64,6 +67,7 @@ smoke:
 	$(PYTHON) -m pytest -x -q tests/api/test_plan_is_what_runs.py
 	$(PYTHON) -m pytest -x -q tests/cache/test_cache_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/variants/test_scenario_fastpath_equivalence.py
+	$(PYTHON) -m pytest -x -q tests/variants/test_fastpath_equivalence.py -k numpy
 	$(PYTHON) -m pytest -x -q tests/integration/test_examples.py
 	$(PYTHON) -m pytest -x -q
 

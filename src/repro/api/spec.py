@@ -282,9 +282,9 @@ class FloodSpec:
         if self.backend is None:
             return
         if self.variant is not None:
-            from repro.fastpath.variants import resolve_variant_backend
+            from repro.fastpath.variants import validate_variant_backend
 
-            resolve_variant_backend(self.backend, self.variant)
+            validate_variant_backend(self.backend, self.variant)
             return
         from repro.fastpath.engine import validate_backend_name
 

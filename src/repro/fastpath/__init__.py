@@ -54,7 +54,8 @@ Entry points:
   :func:`variant_survey` -- arc-mask steppers for every built-in
   process variant with counter-based per-(run, round) randomness,
   pluggable into ``sweep``/``parallel_sweep``/the service via
-  ``variant=`` (:mod:`repro.fastpath.variants`); dynamic topologies
+  ``variant=`` (:mod:`repro.fastpath.variants`; the stochastic kinds
+  also run on numpy arc-vector lanes); dynamic topologies
   travel as the arc-diff :class:`ArcSchedule` format
   (:mod:`repro.fastpath.schedule`).
 """

@@ -28,8 +28,14 @@ whichever tier runs it.  ``backend=None`` picks a frontier engine:
 numpy when it is importable *and* the graph has at least
 :data:`NUMPY_ARC_THRESHOLD` directed arcs *and* mean degree at least
 :data:`NUMPY_MIN_MEAN_DEGREE` (sparse graphs run long floods, which
-punish the O(arcs)-per-round engine), else pure.  Variant specs always
-resolve to the pure arc-mask stepper.
+punish the O(arcs)-per-round engine), else pure.  Variant specs
+resolve to the numpy arc-vector steppers when the kind is stochastic
+(``thinning``, ``loss``, ``random_delay``), the graph passes the same
+frontier rule and the flood is supercritical (survival ``q`` times
+``mean degree - 1`` above 1; ``random_delay`` loses nothing and always
+qualifies); every other variant spec resolves to the pure arc-mask
+stepper.  ``docs/architecture.md`` records the lane table behind the
+rule.
 
 The oracle is never auto-selected.  The cover bound (one message per
 cover edge) already caps a frontier flood's *total* work at
@@ -62,7 +68,12 @@ from repro.api.spec import BatchKey, FloodSpec
 from repro.errors import ConfigurationError, NonTerminationError
 from repro.fastpath import bitset_oracle, numpy_backend, oracle_backend, pure_backend
 from repro.fastpath.indexed import IndexedGraph
-from repro.fastpath.variants import VariantSpec, run_variant, variant_backend
+from repro.fastpath.variants import (
+    DELAY,
+    VariantSpec,
+    run_variants,
+    validate_variant_backend,
+)
 from repro.graphs.graph import Graph, Node
 from repro.sync.engine import default_round_budget
 
@@ -149,21 +160,51 @@ def select_backend(
     Explicit names win (validated).  ``backend=None`` auto-selects a
     frontier engine (pure or numpy) from the graph's arc count and mean
     degree; the oracle must be requested by name.  A ``variant`` run
-    resolves through :func:`~repro.fastpath.variants.variant_backend`
-    (always the pure stepper).
+    auto-selects numpy only when its kind is stochastic, the graph
+    passes the same frontier rule and the flood is supercritical
+    (:func:`_supercritical`); every other variant run resolves to the
+    pure stepper.
     """
     if variant is not None:
-        return variant_backend(index, backend, variant)
+        validate_variant_backend(backend, variant)
+        if backend is None:
+            if (
+                variant.stochastic
+                and _numpy_frontier(index)
+                and _supercritical(index, variant)
+            ):
+                return NUMPY
+            return PURE
+        return backend
     validate_backend_name(backend)
     if backend is None:
-        if (
-            numpy_backend.HAS_NUMPY
-            and index.num_arcs >= NUMPY_ARC_THRESHOLD
-            and index.num_arcs >= NUMPY_MIN_MEAN_DEGREE * index.n
-        ):
-            return NUMPY
-        return PURE
+        return NUMPY if _numpy_frontier(index) else PURE
     return backend
+
+
+def _numpy_frontier(index: IndexedGraph) -> bool:
+    """The frontier rule: numpy imports and the graph is large and dense."""
+    return (
+        numpy_backend.HAS_NUMPY
+        and index.num_arcs >= NUMPY_ARC_THRESHOLD
+        and index.num_arcs >= NUMPY_MIN_MEAN_DEGREE * index.n
+    )
+
+
+def _supercritical(index: IndexedGraph, variant: VariantSpec) -> bool:
+    """Whether a stochastic flood keeps branching on this graph.
+
+    A forwarded message fans out to ``mean degree - 1`` arcs, each of
+    which survives with probability ``q``: the flood is supercritical
+    when ``q * (mean degree - 1) > 1``, written here without the
+    division.  A subcritical flood dies in a few sparse rounds, where
+    the O(arcs) vector round loses to the per-message loop.
+    ``random_delay`` holds messages but loses none, so it always
+    counts as supercritical.
+    """
+    if variant.kind == DELAY:
+        return True
+    return variant.probability * (index.num_arcs - index.n) > index.n
 
 
 def _resolve_budget(graph: Graph, max_rounds: Optional[int]) -> int:
@@ -275,15 +316,7 @@ def _dispatch(
     one definition.
     """
     if key.variant is not None:
-        return run_variant(
-            index,
-            source_ids,
-            key.budget,
-            key.variant,
-            run_key,
-            collect_senders=key.collect_senders,
-            collect_receives=key.collect_receives,
-        )
+        return dispatch_batch(index, [source_ids], key, [run_key])[0]
     if key.backend == NUMPY:
         runner = numpy_backend.run
     elif key.backend == ORACLE:
@@ -310,18 +343,28 @@ def dispatch_batch(
     The batch-granular execution funnel layered over :func:`_dispatch`:
     the serial spec sweep, the worker pool's chunk bodies and the
     service's serial executor all run their batches through this
-    function.  Deterministic oracle batches of at least
-    :data:`BITSET_MIN_BATCH` runs take the word-packed bitset sweep
-    (:mod:`repro.fastpath.bitset_oracle`) when numpy is importable --
-    bit-identical to the per-run loop, 64 floods per cover pass;
-    everything else (variants, frontier backends, small batches, no
-    numpy) falls through to the per-run ``_dispatch`` loop.  Variants
-    never take the bitset lane: their steppers execute a stochastic
-    process per ``run_keys`` stream, not a cover prediction.
+    function.  Variant batches go to
+    :func:`~repro.fastpath.variants.run_variants` on their resolved
+    backend, run ``i`` on the stream ``run_keys[i]``.  Deterministic
+    oracle batches of at least :data:`BITSET_MIN_BATCH` runs take the
+    word-packed bitset sweep (:mod:`repro.fastpath.bitset_oracle`) when
+    numpy is importable -- bit-identical to the per-run loop, 64 floods
+    per cover pass; everything else (frontier backends, small batches,
+    no numpy) falls through to the per-run ``_dispatch`` loop.
     """
+    if key.variant is not None:
+        return run_variants(
+            index,
+            id_lists,
+            key.budget,
+            key.variant,
+            run_keys if run_keys is not None else [0] * len(id_lists),
+            backend=key.backend,
+            collect_senders=key.collect_senders,
+            collect_receives=key.collect_receives,
+        )
     if (
-        key.variant is None
-        and key.backend == ORACLE
+        key.backend == ORACLE
         and bitset_oracle.HAS_NUMPY
         and len(id_lists) >= BITSET_MIN_BATCH
     ):
@@ -332,15 +375,7 @@ def dispatch_batch(
             collect_senders=key.collect_senders,
             collect_receives=key.collect_receives,
         )
-    return [
-        _dispatch(
-            index,
-            ids,
-            key,
-            run_keys[position] if run_keys is not None else 0,
-        )
-        for position, ids in enumerate(id_lists)
-    ]
+    return [_dispatch(index, ids, key) for ids in id_lists]
 
 
 def wrap_raw_run(

@@ -35,14 +35,23 @@ the contract of this module:
 
 Backends
 --------
-Variant runs execute only on the pure arc-mask stepper.  The numpy
-frontier kernel and the double-cover oracle model the *deterministic*
-synchronous process: the oracle in particular is a prediction of
-amnesiac flooding's unique execution, which a stochastic,
-step-granular or re-injected run is not, so variant requests never
-route to them -- ``backend="oracle"``/``"numpy"`` with a variant is a
-:class:`~repro.errors.ConfigurationError`, and automatic selection
-(:func:`variant_backend`) always resolves to ``"pure"``.
+Every kind runs on the pure arc-mask stepper of this module, which is
+the reference and the lane used when numpy is absent.  The stochastic
+kinds (``thinning``, ``loss``, ``random_delay``) also run on the numpy
+arc-vector steppers of :mod:`repro.fastpath.numpy_backend`, which draw
+the same counter coordinates in batches (:func:`repro.rng.gamma_draws`)
+and return the same :data:`VariantRawRun`, field for field.
+:func:`repro.fastpath.engine.select_backend` (and :func:`variant_backend`,
+which delegates to it) picks numpy for a stochastic run when numpy is
+importable, the graph passes the frontier rule
+(``NUMPY_ARC_THRESHOLD`` arcs and mean degree at least
+``NUMPY_MIN_MEAN_DEGREE``), and the flood is *supercritical*: survival
+``q`` times ``mean degree - 1`` above 1 for thinning/loss, always for
+``random_delay``, which loses nothing.  A subcritical flood dies in a
+few sparse rounds, where the O(arcs) vector round loses to the
+per-message loop.  ``backend="numpy"`` may be named for the stochastic
+kinds only; the double-cover oracle predicts the deterministic process
+and is never valid for a variant.
 
 Entry points
 ------------
@@ -52,8 +61,8 @@ Entry points
 :func:`dynamic_schedule`) plugs into ``fastpath.sweep(...,
 variant=spec)``, ``parallel_sweep``, ``SweepPool.sweep`` and
 ``FloodService.query``; :func:`variant_survey` is the Monte-Carlo
-aggregation over a trial batch.  :func:`run_variant` is the raw
-per-run dispatch the engine and the worker pool call.
+aggregation over a trial batch.  :func:`run_variants` is the raw
+batch dispatch the engine and the worker pool call.
 """
 
 from __future__ import annotations
@@ -62,6 +71,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
+from repro.fastpath import numpy_backend
 from repro.fastpath.indexed import IndexedGraph
 from repro.fastpath.pure_backend import _BYTE_BITS, _decode, _decoders
 from repro.fastpath.schedule import ArcSchedule
@@ -83,6 +93,8 @@ DELAY = "random_delay"
 DYNAMIC = "dynamic"
 
 VARIANT_KINDS = (THINNING, LOSS, KMEMORY, PERIODIC, MULTI, DELAY, DYNAMIC)
+STOCHASTIC_KINDS = (THINNING, LOSS, DELAY)
+"""The kinds that consume randomness; each also has a numpy lane."""
 
 try:
     _popcount = int.bit_count  # Python >= 3.10
@@ -120,6 +132,11 @@ class VariantSpec:
     ``dynamic``; ``seed`` owns the randomness (run ``i`` of a batch
     draws from the stream ``derive_key(seed, i)``; the deterministic
     kinds ignore it).
+
+    The stochastic kinds (:data:`STOCHASTIC_KINDS`) run on the pure
+    stepper or the bit-identical numpy lane, chosen by
+    :func:`repro.fastpath.engine.select_backend` or named with
+    ``backend="numpy"``; the other kinds run on the pure stepper only.
 
     Frozen and hashable: specs ride in pool task tuples and service
     micro-batch keys unchanged.  Build through :func:`thinning`,
@@ -187,7 +204,7 @@ class VariantSpec:
     @property
     def stochastic(self) -> bool:
         """Whether runs of this variant consume randomness."""
-        return self.kind in (THINNING, LOSS, DELAY)
+        return self.kind in STOCHASTIC_KINDS
 
     def run_key(self, run_index: int) -> int:
         """The RNG stream key owned by run ``run_index`` of this spec."""
@@ -261,114 +278,132 @@ def variant_default_budget(variant: VariantSpec, graph: Graph) -> int:
 def variant_backend(
     index: IndexedGraph, backend: Optional[str], spec: VariantSpec
 ) -> str:
-    """Resolve the backend for a variant run: the pure stepper, always.
+    """Resolve the backend for a variant run.
 
-    Mirrors :func:`repro.fastpath.select_backend` for the variant
-    lanes.  ``None`` auto-selects ``"pure"``; naming any other backend
-    raises -- in particular the oracle, which predicts the
-    deterministic process and therefore can never stand in for a
-    stochastic (or non-amnesiac) execution.
+    The same rule as ``select_backend(index, backend, spec)`` (see
+    :func:`repro.fastpath.engine.select_backend`), to which this
+    delegates: ``None`` picks numpy for supercritical stochastic runs
+    on graphs past the frontier thresholds, else ``"pure"``.
     """
-    return resolve_variant_backend(backend, spec)
+    from repro.fastpath.engine import select_backend
+
+    return select_backend(index, backend, spec)
 
 
-def resolve_variant_backend(backend: Optional[str], spec: VariantSpec) -> str:
-    """The index-free core of :func:`variant_backend`.
+def validate_variant_backend(backend: Optional[str], spec: VariantSpec) -> None:
+    """Name-level backend validation for a variant, no index required.
 
-    Variant routing depends only on the names (the stepper is always
-    the pure arc-mask loop), so request validation
-    (:class:`~repro.api.spec.FloodSpec`) runs this without touching the
-    CSR index.
+    Request validation (:class:`~repro.api.spec.FloodSpec`) runs this
+    without touching the CSR index: ``None`` and ``"pure"`` are always
+    valid, ``"numpy"`` only for the stochastic kinds (and when numpy
+    imports), the oracle never.
     """
     if backend is None or backend == "pure":
-        return "pure"
+        return
     if backend == "oracle":
         raise ConfigurationError(
             f"the double-cover oracle predicts the deterministic process; "
             f"{spec.kind!r} variant runs never route to it "
-            f"(backend must be 'pure' or None)"
+            f"(backend must be 'pure', 'numpy' or None)"
         )
     if backend == "numpy":
-        raise ConfigurationError(
-            f"the numpy kernel runs only the deterministic process; "
-            f"{spec.kind!r} variant runs use backend='pure'"
-        )
+        if not spec.stochastic:
+            raise ConfigurationError(
+                f"the numpy kernel runs the deterministic process and the "
+                f"stochastic variants only; {spec.kind!r} variant runs use "
+                f"backend='pure'"
+            )
+        if not numpy_backend.HAS_NUMPY:
+            raise ConfigurationError(
+                "numpy backend requested but numpy is not importable"
+            )
+        return
     raise ConfigurationError(
         f"unknown fastpath backend {backend!r} for variant {spec.kind!r}; "
-        f"expected 'pure' or None"
+        f"expected 'pure', 'numpy' or None"
     )
 
 
-def run_variant(
+def run_variants(
     index: IndexedGraph,
-    source_ids: Sequence[int],
+    id_lists: Sequence[Sequence[int]],
     budget: int,
     spec: VariantSpec,
-    run_key: int,
+    run_keys: Sequence[int],
+    backend: str = "pure",
     collect_senders: bool = False,
     collect_receives: bool = False,
-) -> VariantRawRun:
-    """One variant flood on the arc-mask stepper; raw statistics tuple.
+) -> List[VariantRawRun]:
+    """One batch of variant floods; one raw statistics tuple per id list.
 
-    ``run_key`` is the already-derived RNG stream key
+    ``run_keys[i]`` is the already-derived RNG stream key of run ``i``
     (:meth:`VariantSpec.run_key`); it is threaded explicitly so sharded
     callers can key runs by their *global* batch position.  Ignored by
     the deterministic kinds (``kmemory``, ``periodic``,
-    ``multi_message``, ``dynamic``).
+    ``multi_message``, ``dynamic``).  ``backend`` is the resolved
+    backend: ``"numpy"`` runs the stochastic kinds on the arc-vector
+    steppers of :mod:`repro.fastpath.numpy_backend`.
+
+    A ``dynamic`` batch shares one decode memo across its runs (they
+    share the schedule) and drops it on return, so no memo outlives
+    the batch on the cached superset index.
     """
-    if spec.kind == KMEMORY:
-        return _run_kmemory(
-            index, source_ids, budget, spec.k, collect_senders, collect_receives
-        )
-    if spec.kind == PERIODIC:
-        return _run_periodic(
-            index,
-            source_ids,
-            budget,
-            spec.period,
-            spec.injections,
-            collect_senders,
-            collect_receives,
-        )
-    if spec.kind == MULTI:
-        return _run_multi(
-            index, source_ids, budget, collect_senders, collect_receives
-        )
-    if spec.kind == DELAY:
-        return _run_delay(
-            index,
-            source_ids,
-            budget,
-            spec.probability,
-            run_key,
-            collect_senders,
-            collect_receives,
-        )
-    if spec.kind == DYNAMIC:
-        return _run_dynamic(
-            index,
-            source_ids,
-            budget,
-            spec.schedule,
-            collect_senders,
-            collect_receives,
-        )
-    return _run_stochastic(
-        index,
-        source_ids,
-        budget,
-        spec.probability,
-        run_key,
-        collect_senders,
-        collect_receives,
-    )
+    kind = spec.kind
+    if kind in STOCHASTIC_KINDS:
+        threshold = survival_threshold(spec.probability)
+        if backend == "numpy":
+            runner = (
+                numpy_backend.run_delay if kind == DELAY else numpy_backend.run_thinned
+            )
+        else:
+            runner = _run_delay if kind == DELAY else _run_stochastic
+        return [
+            runner(
+                index,
+                ids,
+                budget,
+                threshold,
+                run_key,
+                collect_senders,
+                collect_receives,
+            )
+            for ids, run_key in zip(id_lists, run_keys)
+        ]
+    if kind == DYNAMIC:
+        memo = _ScheduleMemo(index, spec.schedule)
+        return [
+            _run_dynamic(memo, ids, budget, collect_senders, collect_receives)
+            for ids in id_lists
+        ]
+    if kind == KMEMORY:
+        return [
+            _run_kmemory(index, ids, budget, spec.k, collect_senders, collect_receives)
+            for ids in id_lists
+        ]
+    if kind == PERIODIC:
+        return [
+            _run_periodic(
+                index,
+                ids,
+                budget,
+                spec.period,
+                spec.injections,
+                collect_senders,
+                collect_receives,
+            )
+            for ids in id_lists
+        ]
+    return [
+        _run_multi(index, ids, budget, collect_senders, collect_receives)
+        for ids in id_lists
+    ]
 
 
 def _run_stochastic(
     index: IndexedGraph,
     source_ids: Sequence[int],
     budget: int,
-    probability: float,
+    threshold: int,
     run_key: int,
     collect_senders: bool,
     collect_receives: bool,
@@ -385,7 +420,6 @@ def _run_stochastic(
     full_masks = index.full_masks
     offsets = index.offsets
     n = index.n
-    threshold = survival_threshold(probability)
 
     masks = [0] * n
     heard = [0] * n
@@ -822,7 +856,7 @@ def _run_delay(
     index: IndexedGraph,
     source_ids: Sequence[int],
     budget: int,
-    probability: float,
+    threshold: int,
     run_key: int,
     collect_senders: bool,
     collect_receives: bool,
@@ -834,8 +868,9 @@ def _run_delay(
     (:class:`repro.asynchrony.adversary.CounterDelayAdversary`, which
     consumes the *same* coordinates): each step draws
     ``slot_draw(round_key(run_key, step), slot)`` per in-transit arc
-    and holds the arc iff the draw falls below
-    ``survival_threshold(probability)``; if the coins held everything,
+    and holds the arc iff the draw falls below ``threshold``
+    (:func:`~repro.rng.survival_threshold` of the hold probability);
+    if the coins held everything,
     the single arc with the smallest ``(draw, slot)`` is delivered so
     time progresses.  Delivered arcs apply the amnesiac rule (forward
     to the complement of this step's senders); forwards merge with held
@@ -847,7 +882,6 @@ def _run_delay(
     offsets = index.offsets
     full_masks = index.full_masks
     n = index.n
-    threshold = survival_threshold(probability)
 
     masks = [0] * n
     heard = [0] * n
@@ -957,11 +991,44 @@ def _run_delay(
     )
 
 
+class _ScheduleMemo:
+    """The decode and split memos of one ``dynamic`` batch.
+
+    Built per :func:`run_variants` call and dropped when it returns:
+    the runs of a batch share one schedule, so they share the superset
+    index's per-node decoders and the per-node splits of each distinct
+    round mask, while the superset index -- a one-off in the index LRU
+    -- keeps no memo of its own.
+    """
+
+    __slots__ = ("sindex", "schedule", "decoders", "splits")
+
+    def __init__(self, index: IndexedGraph, schedule: ArcSchedule) -> None:
+        sindex = IndexedGraph.of(schedule.graph)
+        if sindex.labels != index.labels:
+            raise ConfigurationError(
+                "the dynamic variant's schedule must share the spec graph's "
+                "node set (the superset graph adds edges, never nodes)"
+            )
+        self.sindex = sindex
+        self.schedule = schedule
+        self.decoders: List[Dict[int, tuple]] = [{} for _ in range(sindex.n)]
+        self.splits: Dict[int, List[int]] = {}
+
+    def live(self, round_number: int) -> List[int]:
+        """Round ``round_number``'s activation, as per-node send masks."""
+        gmask = self.schedule.mask_at(round_number)
+        split = self.splits.get(gmask)
+        if split is None:
+            split = _split_mask(self.sindex, gmask)
+            self.splits[gmask] = split
+        return split
+
+
 def _run_dynamic(
-    index: IndexedGraph,
+    memo: _ScheduleMemo,
     source_ids: Sequence[int],
     budget: int,
-    schedule: ArcSchedule,
     collect_senders: bool,
     collect_receives: bool,
 ) -> VariantRawRun:
@@ -974,32 +1041,17 @@ def _run_dynamic(
     next round's topology", matching
     :func:`repro.variants.dynamic.simulate_dynamic` round for round.
     The schedule's global round masks are split into per-node CSR
-    blocks once per *distinct* mask (memoised for the run), so a
-    round's topology costs one AND per forwarding node.  The spec's
-    graph must share the superset's node set (ids then align, both
-    being sorted-label orders).
+    blocks once per *distinct* mask per batch (``memo``), so a round's
+    topology costs one AND per forwarding node.  The spec's graph must
+    share the superset's node set (ids then align, both being
+    sorted-label orders).
     """
-    sindex = IndexedGraph.of(schedule.graph)
-    if sindex.labels != index.labels:
-        raise ConfigurationError(
-            "the dynamic variant's schedule must share the spec graph's "
-            "node set (the superset graph adds edges, never nodes)"
-        )
+    sindex = memo.sindex
     full_masks = sindex.full_masks
     soffsets = sindex.offsets
-    decoders = _decoders(sindex)
+    decoders = memo.decoders
     n = sindex.n
-    mask_at = schedule.mask_at
-
-    split_by_mask: Dict[int, List[int]] = {}
-
-    def live(round_number: int) -> List[int]:
-        gmask = mask_at(round_number)
-        split = split_by_mask.get(gmask)
-        if split is None:
-            split = _split_mask(sindex, gmask)
-            split_by_mask[gmask] = split
-        return split
+    live = memo.live
 
     masks = [0] * n
     heard = [0] * n

@@ -109,6 +109,29 @@ class Graph:
         return sort_nodes(adj)
 
     @classmethod
+    def _from_frozen(
+        cls,
+        adjacency: Dict[Node, FrozenSet[Node]],
+        nodes: Tuple[Node, ...],
+        num_edges: int,
+    ) -> "Graph":
+        """Trusted constructor over an already-canonical adjacency.
+
+        ``adjacency`` must be symmetric and loop-free with frozen
+        neighbour sets, ``nodes`` its :func:`sort_nodes` order and
+        ``num_edges`` its edge count.  Nothing is copied, so a derived
+        graph can share the neighbour sets of the graph it came from
+        (graphs are immutable, so sharing is safe).
+        """
+        graph = cls.__new__(cls)
+        graph._adj = adjacency
+        graph._nodes = nodes
+        graph._num_edges = num_edges
+        graph._hash = None
+        graph._digest = None
+        return graph
+
+    @classmethod
     def from_edges(
         cls,
         edges: Iterable[Tuple[Node, Node]],

@@ -14,10 +14,15 @@ is everything those rules need, built **once** per lint run:
   ``BACKEND_NAMES`` tuple), the ``FloodSpec`` field/coverage tables
   (dataclass fields, ``digest()``/``batch_key()`` field references,
   the ``DIGEST_EXCLUDED``/``BATCH_KEY_EXCLUDED`` frozensets),
+* the stochastic variant kinds (the ``STOCHASTIC_KINDS`` tuple, its
+  names resolved through module-level string constants),
 * the equivalence-matrix string constants under ``tests/`` (module
   names containing ``equivalence``; module-level sequence literals and
   ``pytest.mark.parametrize`` arguments only, so a variant *kind*
   string deep inside a helper call does not count as matrix coverage),
+  and the *numpy rows* among them: the strings of every test function
+  or class whose stacked ``parametrize`` decorators include
+  ``"numpy"``,
 * the bench-trajectory tables: the ``test_ext_*`` families defined in
   ``run_bench.py``'s ``BENCH_FILES`` and matching its
   ``FASTPATH_PREFIXES``, the declared ``TRAJECTORY_OPTIONAL`` names,
@@ -114,9 +119,11 @@ class ProjectContext:
     import_graph: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     scenarios: Tuple[RegisteredName, ...] = ()
     backends: Tuple[RegisteredName, ...] = ()
+    stochastic_kinds: Tuple[RegisteredName, ...] = ()
     spec: Optional[SpecCoverage] = None
     equivalence_strings: Tuple[str, ...] = ()
     equivalence_files: Tuple[str, ...] = ()
+    numpy_row_strings: Tuple[str, ...] = ()
     bench: Optional[BenchCoverage] = None
 
     def module_by_path(self, path: str) -> Optional[ModuleInfo]:
@@ -323,20 +330,110 @@ def _extract_backends(
     return ()
 
 
+def _extract_stochastic_kinds(
+    modules: Dict[str, ModuleInfo],
+) -> Tuple[RegisteredName, ...]:
+    """The ``STOCHASTIC_KINDS`` tuple, names resolved to their strings."""
+    for info in modules.values():
+        constants = {
+            node.targets[0].id: node.value.value
+            for node in info.tree.body
+            if isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+        }
+        for node in info.tree.body:
+            if not (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == "STOCHASTIC_KINDS"
+                and isinstance(node.value, (ast.Tuple, ast.List))
+            ):
+                continue
+            kinds = []
+            for element in node.value.elts:
+                if isinstance(element, ast.Constant) and isinstance(element.value, str):
+                    kinds.append(element.value)
+                elif isinstance(element, ast.Name) and element.id in constants:
+                    kinds.append(constants[element.id])
+            return tuple(
+                RegisteredName(kind, info.path, node.lineno) for kind in kinds
+            )
+    return ()
+
+
+def _parametrize_strings(
+    decorators: Iterable[ast.AST], named: Dict[str, List[str]]
+) -> List[str]:
+    """The strings of the ``parametrize`` decorators among ``decorators``.
+
+    A bare-name argument (``parametrize("kind", KINDS)``) contributes
+    the strings of the module-level assignment it names.
+    """
+    values: List[str] = []
+    for decorator in decorators:
+        if not (
+            isinstance(decorator, ast.Call)
+            and isinstance(decorator.func, ast.Attribute)
+            and decorator.func.attr == "parametrize"
+        ):
+            continue
+        for arg in list(decorator.args) + [kw.value for kw in decorator.keywords]:
+            values.extend(_string_elements(arg))
+            if isinstance(arg, ast.Name):
+                values.extend(named.get(arg.id, ()))
+    return values
+
+
+def _numpy_rows(tree: ast.Module) -> Set[str]:
+    """Strings parametrized alongside ``"numpy"`` in one test or class.
+
+    Stacked ``parametrize`` decorators form a cross product, so every
+    string of a test whose decorators (its own plus its class's)
+    include ``"numpy"`` runs on a numpy row.
+    """
+    named: Dict[str, List[str]] = {}
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+        ):
+            named[node.targets[0].id] = _string_elements(node.value)
+    rows: Set[str] = set()
+
+    def visit(node: ast.AST, inherited: List[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                strings = inherited + _parametrize_strings(child.decorator_list, named)
+                if "numpy" in strings:
+                    rows.update(strings)
+                if isinstance(child, ast.ClassDef):
+                    visit(child, strings)
+
+    visit(tree, [])
+    return rows
+
+
 def _extract_equivalence_strings(
     root: str,
-) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]:
     """Matrix-position string constants from ``tests/**/*equivalence*.py``.
 
     Only two positions count as "the matrix": module-level sequence
     assignments (``SCENARIOS = (...)``, ``BACKENDS = [...]``) and
     arguments of ``pytest.mark.parametrize(...)`` calls.  A scenario
     string buried in a helper call body is a *use*, not a matrix row.
+    Returns ``(strings, files, numpy-row strings)``.
     """
     tests_dir = os.path.join(root, "tests")
     if not os.path.isdir(tests_dir):
-        return (), ()
+        return (), (), ()
     strings: Set[str] = set()
+    numpy_rows: Set[str] = set()
     files: List[str] = []
     for full_path in _walk_python_files(tests_dir):
         basename = os.path.basename(full_path)
@@ -347,6 +444,7 @@ def _extract_equivalence_strings(
             continue
         tree, _ = parsed
         files.append(_rel(root, full_path))
+        numpy_rows |= _numpy_rows(tree)
         for node in tree.body:
             if isinstance(node, ast.Assign):
                 strings.update(_string_elements(node.value))
@@ -360,7 +458,7 @@ def _extract_equivalence_strings(
             ):
                 for arg in list(node.args) + [kw.value for kw in node.keywords]:
                     strings.update(_string_elements(arg))
-    return tuple(sorted(strings)), tuple(sorted(files))
+    return tuple(sorted(strings)), tuple(sorted(files)), tuple(sorted(numpy_rows))
 
 
 def _extract_bench(root: str) -> Optional[BenchCoverage]:
@@ -457,16 +555,20 @@ def build_project(root: str) -> ProjectContext:
             path=rel_path, module=dotted, tree=tree, source_lines=source_lines
         )
         import_graph[dotted] = _repro_imports(tree)
-    equivalence_strings, equivalence_files = _extract_equivalence_strings(root)
+    equivalence_strings, equivalence_files, numpy_rows = (
+        _extract_equivalence_strings(root)
+    )
     return ProjectContext(
         root=root,
         modules=modules,
         import_graph=import_graph,
         scenarios=_extract_scenarios(modules),
         backends=_extract_backends(modules),
+        stochastic_kinds=_extract_stochastic_kinds(modules),
         spec=_extract_spec(modules),
         equivalence_strings=equivalence_strings,
         equivalence_files=equivalence_files,
+        numpy_row_strings=numpy_rows,
         bench=_extract_bench(root),
     )
 

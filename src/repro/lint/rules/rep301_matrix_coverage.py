@@ -15,9 +15,15 @@ sequence assignments and ``parametrize`` arguments in
 string used as a helper argument deep inside a test body is a *use*,
 not a matrix row.  A scenario ``name`` is covered by the exact string
 or any parameterised form ``name:...``; a backend must appear exactly.
+
+Every stochastic variant kind (the ``STOCHASTIC_KINDS`` tuple) also
+runs on the numpy lane, so each needs a *numpy row*: a test whose
+stacked ``parametrize`` decorators include both ``"numpy"`` and the
+kind (exactly, or as ``kind:...``).
+
 Findings attach to the registration site (the ``register_scenario``
-call, the ``BACKEND_NAMES`` tuple), because that is where the
-uncovered path was introduced.
+call, the ``BACKEND_NAMES`` or ``STOCHASTIC_KINDS`` tuple), because
+that is where the uncovered path was introduced.
 """
 
 from __future__ import annotations
@@ -69,6 +75,25 @@ def check(ctx: ProjectContext) -> Iterable[Finding]:
                 ),
             )
         )
+    numpy_rows = set(ctx.numpy_row_strings)
+    numpy_prefixes = {s.split(":", 1)[0] for s in numpy_rows}
+    for kind in ctx.stochastic_kinds:
+        if kind.value in numpy_rows or kind.value in numpy_prefixes:
+            continue
+        findings.append(
+            Finding(
+                path=kind.path,
+                line=kind.line,
+                col=1,
+                rule=RULE_ID,
+                message=(
+                    f"stochastic variant kind {kind.value!r} runs on the "
+                    "numpy lane but no equivalence-matrix parametrization "
+                    "pairs it with 'numpy'; its lane bit-identity is "
+                    "unchecked"
+                ),
+            )
+        )
     return findings
 
 
@@ -78,7 +103,8 @@ register_project_rule(
         name="matrix-coverage",
         summary=(
             "a registered scenario or backend appears in no "
-            "equivalence-matrix parametrization"
+            "equivalence-matrix parametrization, or a stochastic "
+            "variant kind has no numpy row"
         ),
         check=check,
     )

@@ -35,11 +35,21 @@ Layout of a draw's coordinates:
   draw is below :func:`survival_threshold` of ``p``; comparing in
   integer space keeps the decision exact at ``p = 0.0`` (never) and
   ``p = 1.0`` (always).
+* :func:`slot_draws` is the batched form of :func:`slot_draw` over a
+  numpy ``uint64`` slot array -- the per-round operation of the numpy
+  variant steppers.  numpy's ``uint64`` arithmetic wraps modulo
+  ``2**64`` exactly as the masked Python ints do, so every draw is
+  bit-identical to the scalar one.
 """
 
 from __future__ import annotations
 
 import os
+
+try:  # pragma: no cover - exercised implicitly by the numpy lanes
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
 
 MASK64 = (1 << 64) - 1
 """All arithmetic is modulo 2**64 (the SplitMix64 word size)."""
@@ -110,6 +120,34 @@ def slot_draw(rkey: int, slot: int) -> int:
     independent draws; the same coordinates always give the same draw.
     """
     return mix64(rkey ^ ((slot * GAMMA) & MASK64)) >> (64 - DRAW_BITS)
+
+
+def slot_gammas(slots):
+    """``slot * GAMMA mod 2**64`` over a ``uint64`` slot array.
+
+    The round-independent half of :func:`slot_draws`; the numpy
+    steppers precompute it once per index and pass it to
+    :func:`gamma_draws` every round.
+    """
+    return _np.asarray(slots, dtype=_np.uint64) * _np.uint64(GAMMA)
+
+
+def gamma_draws(rkey: int, gammas):
+    """:func:`slot_draws` for slots already multiplied by ``GAMMA``."""
+    value = gammas ^ _np.uint64(rkey & MASK64)
+    value = (value ^ (value >> _np.uint64(30))) * _np.uint64(0xBF58476D1CE4E5B9)
+    value = (value ^ (value >> _np.uint64(27))) * _np.uint64(0x94D049BB133111EB)
+    return (value ^ (value >> _np.uint64(31))) >> _np.uint64(64 - DRAW_BITS)
+
+
+def slot_draws(rkey: int, slots):
+    """The batched :func:`slot_draw`: one 53-bit draw per array slot.
+
+    ``slots`` is an array of non-negative slot numbers; the result is a
+    ``uint64`` array with ``out[i] == slot_draw(rkey, slots[i])``.
+    Requires numpy.
+    """
+    return gamma_draws(rkey, slot_gammas(slots))
 
 
 def mask_hold_split(rkey: int, base: int, mask: int, threshold: int) -> tuple:

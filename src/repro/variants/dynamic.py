@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError, NodeNotFoundError
-from repro.graphs.graph import Graph, Node
+from repro.graphs.graph import Edge, Graph, Node, _normalise_edge
 from repro.rng import fresh_seed
 from repro.sync.engine import default_round_budget
 
@@ -103,6 +103,82 @@ class EdgeFlipSchedule:
         base, flips_per_round, seed = state
         self.__init__(base, flips_per_round, seed)  # type: ignore[misc]
 
+    def arc_schedule(self, rounds: int):
+        """The first ``rounds`` topologies as an ``ArcSchedule``.
+
+        Equal to the generic :func:`export_arc_schedule` path over
+        :meth:`graph_at` (same superset graph, same masks), without
+        building a :class:`Graph` per flip: the flips are replayed from
+        ``seed`` -- the same ``random.Random`` draws and the same
+        has-edge test as :meth:`_flip` -- on neighbour sets, each
+        round's net flips become an XOR of arc bits, and the superset
+        graph shares ``base``'s frozen neighbour sets for every node no
+        added edge touches.
+        """
+        from repro.fastpath.indexed import IndexedGraph
+        from repro.fastpath.schedule import ArcSchedule
+
+        base = self.base
+        nodes = list(base.nodes())
+        base_adj = base._adj
+        current: Dict[Node, Set[Node]] = {}  # neighbour sets of touched nodes
+        extra: Dict[Edge, None] = {}  # non-base edges live in some round
+        round_flips: List[List[Edge]] = []
+        if len(nodes) >= 2:
+            rng = random.Random(self.seed)  # repro-lint: disable=REP003 -- replays the recorded schedule seed, as _flip does
+            for _ in range(2, rounds + 1):
+                toggled: Dict[Edge, None] = {}  # net flips of the round
+                for _ in range(self.flips_per_round):
+                    u, v = rng.sample(nodes, 2)
+                    for node in (u, v):
+                        if node not in current:
+                            current[node] = set(base_adj[node])
+                    if v in current[u]:
+                        current[u].discard(v)
+                        current[v].discard(u)
+                    else:
+                        current[u].add(v)
+                        current[v].add(u)
+                    edge = _normalise_edge(u, v)
+                    if edge in toggled:
+                        del toggled[edge]
+                    else:
+                        toggled[edge] = None
+                for u, v in toggled:
+                    if v in current[u] and v not in base_adj[u]:
+                        extra[(u, v)] = None
+                round_flips.append(list(toggled))
+
+        if extra:
+            grown: Dict[Node, Set[Node]] = {}
+            for u, v in extra:
+                grown.setdefault(u, set()).add(v)
+                grown.setdefault(v, set()).add(u)
+            adjacency = dict(base_adj)
+            for node, added in grown.items():
+                adjacency[node] = base_adj[node] | added
+            superset = Graph._from_frozen(
+                adjacency, base.nodes(), base.num_edges + len(extra)
+            )
+        else:
+            superset = base
+        index = IndexedGraph.of(superset)
+
+        def arc_bits(u: Node, v: Node) -> int:
+            return (1 << index.arc_slot(u, v)) | (1 << index.arc_slot(v, u))
+
+        mask = (1 << index.num_arcs) - 1
+        for u, v in extra:
+            mask ^= arc_bits(u, v)
+        masks = [mask]
+        for flips in round_flips:
+            for u, v in flips:
+                mask ^= arc_bits(u, v)
+            masks.append(mask)
+        while len(masks) < rounds:
+            masks.append(mask)
+        return ArcSchedule(superset, tuple(masks), None)
+
     def _flip(self, graph: Graph) -> Graph:
         nodes = list(graph.nodes())
         if len(nodes) < 2:
@@ -142,6 +218,8 @@ def export_arc_schedule(schedule: GraphSchedule, rounds: int):
 
     if rounds < 1:
         raise ConfigurationError("export_arc_schedule needs rounds >= 1")
+    if isinstance(schedule, EdgeFlipSchedule):
+        return schedule.arc_schedule(rounds)
     cycle_from: Optional[int] = None
     if isinstance(schedule, StaticSchedule):
         graphs = [schedule.graph]

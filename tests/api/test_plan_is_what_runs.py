@@ -6,8 +6,11 @@ execution tier reports on its results: a single ``run``, a serial or
 pooled ``sweep``, ``parallel_sweep``, ``SweepPool.sweep_specs`` and the
 service's ``query_spec``.  The graphs cover the resolution outcomes
 that matter: long floods on an odd cycle and an odd torus, a dense
-Erdos-Renyi graph past the numpy crossover, and K8.  A cached session
-consequently stores one blob per spec across ``run`` and ``sweep``.
+Erdos-Renyi graph past the numpy crossover, and K8.  Variant specs
+resolve through the same rule: supercritical stochastic floods on the
+dense graph take the numpy lane, subcritical ones, deterministic kinds
+and small graphs the pure stepper.  A cached session consequently
+stores one blob per spec across ``run`` and ``sweep``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,15 @@ import asyncio
 import pytest
 
 from repro.api import FloodSession, FloodSpec, ResultCache
-from repro.fastpath import IndexedGraph, select_backend
+from repro.fastpath import (
+    IndexedGraph,
+    bernoulli_loss,
+    k_memory,
+    random_delay,
+    select_backend,
+    thinning,
+)
+from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.graphs import complete_graph, cycle_graph, erdos_renyi, torus_graph
 from repro.parallel import SweepPool, parallel_sweep
 from repro.service import FloodService
@@ -31,8 +42,31 @@ GRAPHS = {
 BATCH = 8
 
 
-def specs_of(graph):
-    return [FloodSpec(graph=graph, sources=(v,)) for v in graph.nodes()[:BATCH]]
+NUMPY_OR_PURE = "numpy" if HAS_NUMPY else "pure"
+VARIANT_CASES = {
+    # name: (graph, variant, the backend the rule must pick)
+    "lossy-dense": (GRAPHS["dense-er"], bernoulli_loss(0.05, seed=3), NUMPY_OR_PURE),
+    "delay-dense": (GRAPHS["dense-er"], random_delay(0.3, seed=3), NUMPY_OR_PURE),
+    "subcritical-dense": (GRAPHS["dense-er"], bernoulli_loss(0.95, seed=3), "pure"),
+    "kmemory-dense": (GRAPHS["dense-er"], k_memory(2), "pure"),
+    "thinning-k8": (GRAPHS["k8"], thinning(0.9, seed=3), "pure"),
+}
+VARIANT_BUDGET = 10
+
+
+def specs_of(graph, variant=None):
+    if variant is None:
+        return [FloodSpec(graph=graph, sources=(v,)) for v in graph.nodes()[:BATCH]]
+    return [
+        FloodSpec(
+            graph=graph,
+            sources=(v,),
+            variant=variant,
+            stream=position,
+            max_rounds=VARIANT_BUDGET,
+        )
+        for position, v in enumerate(graph.nodes()[:BATCH])
+    ]
 
 
 def run_tier(tier, specs):
@@ -53,7 +87,14 @@ def run_tier(tier, specs):
     planner = FloodSession(workers=0)
     if tier == "parallel-sweep":
         sources = [list(spec.sources) for spec in specs]
-        return parallel_sweep(graph, sources, workers=2), planner
+        runs = parallel_sweep(
+            graph,
+            sources,
+            max_rounds=specs[0].max_rounds,
+            variant=specs[0].variant,
+            workers=2,
+        )
+        return runs, planner
     if tier == "pool-sweep-specs":
         with SweepPool(graph, workers=1) as pool:
             return pool.sweep_specs(specs), planner
@@ -96,6 +137,25 @@ def test_plan_is_what_runs(tier, graph_name):
         assert result.backend == expected
         if tier in SESSION_MODES:
             assert plan.mode == SESSION_MODES[tier]
+
+
+@pytest.mark.parametrize("case", sorted(VARIANT_CASES))
+@pytest.mark.parametrize("tier", TIERS)
+def test_variant_plan_is_what_runs(tier, case):
+    graph, variant, expected = VARIANT_CASES[case]
+    assert select_backend(IndexedGraph.of(graph), None, variant) == expected
+    specs = specs_of(graph, variant)
+    results, session = run_tier(tier, specs)
+    batch_size = 1 if tier in ("run", "service-query-spec") else len(specs)
+    serial = FloodSession(workers=0).sweep(
+        [spec.replace(backend="pure") for spec in specs]
+    )
+    for spec, result, pure in zip(specs, results, serial):
+        assert session.plan(spec, batch_size).backend == expected
+        assert session.plan(spec, 1).backend == expected
+        assert result.backend == expected
+        assert result.round_edge_counts == pure.round_edge_counts
+        assert result.reached_count == pure.reached_count
 
 
 class TestOneCacheEntryPerSpec:

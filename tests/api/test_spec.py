@@ -120,12 +120,22 @@ class TestValidationMatrix:
 
     @pytest.mark.skipif(not HAS_NUMPY, reason="needs numpy")
     def test_variant_with_numpy_backend(self):
-        with pytest.raises(ConfigurationError, match="backend"):
+        # The stochastic kinds have a numpy lane; the deterministic
+        # variant kinds do not.
+        spec = FloodSpec(
+            graph=GRAPH,
+            sources=(0,),
+            backend="numpy",
+            variant=thinning(0.9),
+        )
+        assert spec.backend == "numpy"
+        assert spec.batch_key("numpy").backend == "numpy"
+        with pytest.raises(ConfigurationError, match="numpy"):
             FloodSpec(
                 graph=GRAPH,
                 sources=(0,),
                 backend="numpy",
-                variant=thinning(0.9),
+                variant=k_memory(2),
             )
 
     def test_variant_wrong_type(self):

@@ -15,9 +15,13 @@ from repro.rng import (
     DRAW_BITS,
     derive_key,
     derive_keys,
+    gamma_draws,
+    mask_hold_split,
     mix64,
     round_key,
     slot_draw,
+    slot_draws,
+    slot_gammas,
     slot_uniform,
     survival_threshold,
 )
@@ -120,3 +124,51 @@ class TestThresholds:
         }
         assert kept_low <= kept_high
         assert len(kept_low) < len(kept_high)
+
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover
+    np = None
+
+
+@pytest.mark.skipif(np is None, reason="needs numpy")
+class TestBatchedDraws:
+    """``slot_draws`` is the scalar ``slot_draw`` over a uint64 array."""
+
+    KEYS = (0, 2**64 - 1, 1, derive_key(7), round_key(derive_key(42, 3), 11))
+    SLOTS = (0, 1, 2, 63, 64, 4095, 2**32 - 1, 2**32, 2**32 + 5, 2**40 + 3, 2**63 + 1)
+
+    @pytest.mark.parametrize("rkey", KEYS)
+    def test_matches_scalar_draws(self, rkey):
+        slots = np.array(self.SLOTS + tuple(range(300)), dtype=np.uint64)
+        draws = slot_draws(rkey, slots)
+        assert draws.dtype == np.uint64
+        assert [int(d) for d in draws] == [slot_draw(rkey, int(s)) for s in slots]
+
+    @pytest.mark.parametrize("rkey", KEYS)
+    def test_gamma_draws_take_premultiplied_slots(self, rkey):
+        slots = np.arange(500, dtype=np.uint64)
+        assert np.array_equal(
+            gamma_draws(rkey, slot_gammas(slots)), slot_draws(rkey, slots)
+        )
+
+    def test_empty_slot_array(self):
+        assert len(slot_draws(5, np.array([], dtype=np.uint64))) == 0
+
+    @pytest.mark.parametrize("rkey", KEYS)
+    @pytest.mark.parametrize("base", [0, 64, 2**32 + 1])
+    def test_mask_hold_split_agrees(self, rkey, base):
+        """The inlined per-mask split equals the batched draws."""
+        mask = 0b1011_0110_1110_0101_1
+        positions = [p for p in range(mask.bit_length()) if mask >> p & 1]
+        threshold = survival_threshold(0.4)
+        draws = slot_draws(
+            rkey, np.array([base + p for p in positions], dtype=np.uint64)
+        )
+        held, best_position, best_draw = mask_hold_split(rkey, base, mask, threshold)
+        assert held == sum(
+            1 << p for p, d in zip(positions, draws) if int(d) < threshold
+        )
+        lowest = int(draws.argmin())
+        assert (best_position, best_draw) == (positions[lowest], int(draws[lowest]))

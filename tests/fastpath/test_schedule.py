@@ -199,3 +199,112 @@ class _TwoNodeSets:
 
     def graph_at(self, round_number):
         return GRAPH if round_number == 1 else path_graph(3)
+
+
+class _ViaGraphAt:
+    """Hides an EdgeFlipSchedule's type: export takes the generic path,
+    materialising one Graph per round through ``graph_at``."""
+
+    def __init__(self, schedule):
+        self.schedule = schedule
+
+    def graph_at(self, round_number):
+        return self.schedule.graph_at(round_number)
+
+
+class TestEdgeFlipExport:
+    """The replayed edge-flip export equals the generic graph_at path."""
+
+    @staticmethod
+    def bases():
+        from repro.graphs import Graph, petersen_graph
+        from repro.graphs.random_graphs import barabasi_albert
+
+        return {
+            "c5": GRAPH,
+            "petersen": petersen_graph(),
+            "single-node": Graph({0: []}),
+            "edge": path_graph(2),
+            "ba60": barabasi_albert(60, 2, seed=3),
+        }
+
+    @staticmethod
+    def assert_same_export(flips, seed, base, horizon):
+        fast = export_arc_schedule(EdgeFlipSchedule(base, flips, seed), horizon)
+        generic = export_arc_schedule(
+            _ViaGraphAt(EdgeFlipSchedule(base, flips, seed)), horizon
+        )
+        assert fast == generic
+        assert fast.content_digest() == generic.content_digest()
+        assert fast.graph == generic.graph
+        assert fast.graph.content_digest() == generic.graph.content_digest()
+
+    @pytest.mark.parametrize("flips", [0, 1, 2, 50])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize(
+        "name", ["c5", "petersen", "single-node", "edge", "ba60"]
+    )
+    def test_equals_generic_export(self, name, seed, flips):
+        base = self.bases()[name]
+        for horizon in (1, 2, 3, 5, 13, 40):
+            self.assert_same_export(flips, seed, base, horizon)
+
+    def test_every_horizon_up_to_40(self):
+        from repro.graphs import petersen_graph
+
+        for horizon in range(1, 41):
+            self.assert_same_export(2, 11, petersen_graph(), horizon)
+
+    def test_export_does_not_advance_the_schedule(self):
+        # Replaying from the recorded seed leaves graph_at untouched.
+        schedule = EdgeFlipSchedule(GRAPH, 2, seed=5)
+        before = schedule.graph_at(4)
+        export_arc_schedule(schedule, 20)
+        assert schedule.graph_at(4) is before
+        fresh = EdgeFlipSchedule(GRAPH, 2, seed=5)
+        assert schedule.graph_at(9) == fresh.graph_at(9)
+
+    @pytest.mark.parametrize("flips", [2, 50])
+    def test_superset_shares_untouched_neighbour_sets(self, flips):
+        from repro.graphs.random_graphs import barabasi_albert
+
+        base = barabasi_albert(300, 3, seed=1)
+        superset = export_arc_schedule(EdgeFlipSchedule(base, flips, 9), 13).graph
+        added = set(superset.edges()) - set(base.edges())
+        touched = {node for edge in added for node in edge}
+        assert added  # the flips added at least one edge
+        for node in base.nodes():
+            if node in touched:
+                assert superset.neighbors(node) > base.neighbors(node)
+            else:
+                assert superset.neighbors(node) is base.neighbors(node)
+
+    def test_no_added_edge_reuses_the_base_graph(self):
+        # Zero flips: every round is the base topology.
+        base = cycle_graph(7)
+        schedule = export_arc_schedule(EdgeFlipSchedule(base, 0, 3), 6)
+        assert schedule.graph is base
+        assert set(schedule.masks) == {(1 << 14) - 1}
+
+
+class TestDynamicDecodeMemo:
+    def test_no_superset_index_keeps_a_memo_after_a_sweep(self):
+        from repro.api import FloodSession, FloodSpec
+        from repro.graphs.random_graphs import barabasi_albert
+
+        graph = barabasi_albert(80, 2, seed=6)
+        specs = [
+            FloodSpec.from_scenario("dynamic:2", graph, [v], seed=seed, max_rounds=12)
+            for seed in range(3)
+            for v in graph.nodes()[:5]
+        ]
+        with FloodSession(workers=0) as session:
+            results = session.sweep(specs)
+            again = [session.run(spec) for spec in specs[:3]]
+        assert [r.round_edge_counts for r in results[:3]] == [
+            r.round_edge_counts for r in again
+        ]
+        for spec in specs:
+            superset = spec.variant.schedule.graph
+            assert superset != graph
+            assert IndexedGraph.of(superset)._send_cache is None

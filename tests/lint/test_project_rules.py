@@ -244,6 +244,60 @@ def test_rep301_a_use_inside_a_test_body_is_not_coverage(tmp_path):
     assert findings_of(root, "REP301") == ["src/repro/scenarios.py:9"]
 
 
+STOCHASTIC_SCENARIOS = SCENARIOS_OK + (
+    'THINNING = "thinning"\n'
+    'LOSS = "loss"\n'
+    "STOCHASTIC_KINDS = (THINNING, LOSS)\n"
+)
+
+
+def test_rep301_flags_stochastic_kinds_without_a_numpy_row(tmp_path):
+    root = make_project(tmp_path, scenarios=STOCHASTIC_SCENARIOS)
+    assert findings_of(root, "REP301") == [
+        "src/repro/scenarios.py:12",
+        "src/repro/scenarios.py:12",
+    ]
+
+
+def test_rep301_stacked_numpy_row_covers_stochastic_kinds(tmp_path):
+    equivalence = EQUIVALENCE_OK + (
+        '\n\nKINDS = ("thinning", "loss:0.5")\n\n\n'
+        '@pytest.mark.parametrize("lane", ["pure", "numpy"])\n'
+        '@pytest.mark.parametrize("kind", KINDS)\n'
+        "def test_lanes(lane, kind):\n    pass\n"
+    )
+    root = make_project(
+        tmp_path, scenarios=STOCHASTIC_SCENARIOS, equivalence=equivalence
+    )
+    assert findings_of(root, "REP301") == []
+
+
+def test_rep301_class_parametrize_reaches_its_methods(tmp_path):
+    equivalence = EQUIVALENCE_OK + (
+        '\n\n@pytest.mark.parametrize("lane", ["numpy"])\n'
+        "class TestLanes:\n"
+        '    @pytest.mark.parametrize("kind", ["thinning", "loss"])\n'
+        "    def test_lanes(self, lane, kind):\n        pass\n"
+    )
+    root = make_project(
+        tmp_path, scenarios=STOCHASTIC_SCENARIOS, equivalence=equivalence
+    )
+    assert findings_of(root, "REP301") == []
+
+
+def test_rep301_numpy_in_another_test_is_not_a_row(tmp_path):
+    equivalence = EQUIVALENCE_OK + (
+        '\n\n@pytest.mark.parametrize("lane", ["numpy"])\n'
+        "def test_numpy(lane):\n    pass\n\n\n"
+        '@pytest.mark.parametrize("kind", ["thinning", "loss"])\n'
+        "def test_kinds(kind):\n    pass\n"
+    )
+    root = make_project(
+        tmp_path, scenarios=STOCHASTIC_SCENARIOS, equivalence=equivalence
+    )
+    assert len(findings_of(root, "REP301")) == 2
+
+
 # ---------------------------------------------------------------------------
 # REP302 bench coverage
 # ---------------------------------------------------------------------------
@@ -314,6 +368,14 @@ def test_real_tree_extraction_canary():
         "dynamic",
     ]
     assert [b.value for b in ctx.backends] == ["pure", "numpy", "oracle"]
+    assert [k.value for k in ctx.stochastic_kinds] == [
+        "thinning",
+        "loss",
+        "random_delay",
+    ]
+    assert {"numpy", "thinning", "loss", "random_delay"} <= set(
+        ctx.numpy_row_strings
+    )
     spec = ctx.spec
     assert spec is not None
     assert len(spec.fields) == 11
@@ -389,3 +451,18 @@ def test_commenting_out_a_matrix_row_exits_one(tree_copy, monkeypatch, capsys):
     assert main(["src", "--project"]) == 1
     out = capsys.readouterr().out
     assert "REP301" in out and "'kmemory'" in out
+
+
+def test_dropping_the_numpy_lane_rows_exits_one(tree_copy, monkeypatch, capsys):
+    for name in (
+        "test_fastpath_equivalence.py",
+        "test_scenario_fastpath_equivalence.py",
+    ):
+        matrix = tree_copy / "tests" / "variants" / name
+        text = matrix.read_text()
+        assert 'LANES = ("pure", "numpy")' in text
+        matrix.write_text(text.replace('LANES = ("pure", "numpy")', 'LANES = ("pure",)'))
+    monkeypatch.chdir(tree_copy)
+    assert main(["src", "--project"]) == 1
+    out = capsys.readouterr().out
+    assert "REP301" in out and "'random_delay'" in out and "numpy" in out

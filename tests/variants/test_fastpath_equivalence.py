@@ -8,6 +8,11 @@ reference implementation -- the set-based stepper in
 counter-based RNG coordinates (:mod:`repro.rng`) and the CSR arc
 numbering; the dynamics are implemented twice.
 
+The stochastic kinds run on two lanes -- the pure arc-mask stepper and
+the numpy arc-vector stepper -- and every reference comparison here is
+parametrized over both (``LANES``), with the lanes also held equal to
+each other field for field (senders and receive rounds included).
+
 Also here: the cross-worker/chunk determinism of variant sweeps (the
 stochastic analogue of ``tests/parallel/test_parallel_sweep.py``), the
 core budget cut-off rule on every variant, and the pinned seed-stream
@@ -18,26 +23,31 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import FloodSession, FloodSpec
 from repro.core import simulate
 from repro.errors import ConfigurationError
 from repro.fastpath import (
     IndexedGraph,
     bernoulli_loss,
     k_memory,
+    select_backend,
     simulate_indexed,
     sweep,
     thinning,
     variant_backend,
     variant_survey,
 )
-from repro.fastpath.variants import VariantSpec
+from repro.fastpath.numpy_backend import HAS_NUMPY
+from repro.fastpath.variants import VariantSpec, random_delay
 from repro.graphs import (
     complete_graph,
     cycle_graph,
     erdos_renyi,
     path_graph,
     petersen_graph,
+    torus_graph,
 )
+from repro.graphs.random_graphs import barabasi_albert
 from repro.parallel import parallel_sweep
 from repro.rng import derive_key
 from repro.variants import (
@@ -58,24 +68,49 @@ GRAPHS = [
     erdos_renyi(24, 0.2, seed=3, connected=True),
 ]
 
+STOCHASTIC_KINDS = ("thinning", "loss", "random_delay")
+LANES = ("pure", "numpy")
+"""The two stepper lanes of the stochastic kinds."""
 
-def fast_runs(graph, spec, trials, source=None, max_rounds=None):
+
+def lane(backend):
+    """``backend``, skipping the test when its lane cannot run here."""
+    if backend == "numpy" and not HAS_NUMPY:
+        pytest.skip("needs numpy")
+    return backend
+
+
+def stochastic(kind, p, seed):
+    """A stochastic VariantSpec of ``kind`` at parameter ``p``."""
+    if kind == "thinning":
+        return thinning(p, seed=seed)
+    if kind == "loss":
+        return bernoulli_loss(p, seed=seed)
+    return random_delay(min(p, 0.95), seed=seed)
+
+
+def fast_runs(graph, spec, trials, source=None, max_rounds=None, backend=None):
     source = graph.nodes()[0] if source is None else source
     return sweep(
         graph,
         [[source]] * trials,
         max_rounds=max_rounds,
         variant=spec,
+        backend=backend,
         collect_receives=True,
     )
 
 
 class TestThinningEquivalence:
+    @pytest.mark.parametrize("backend", LANES)
     @pytest.mark.parametrize("q", [0.0, 0.3, 0.7, 1.0])
     @pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: repr(g)[:24])
-    def test_matches_reference_per_trial(self, graph, q):
+    def test_matches_reference_per_trial(self, graph, q, backend):
         source = graph.nodes()[0]
-        runs = fast_runs(graph, thinning(q, seed=11), trials=5, max_rounds=60)
+        runs = fast_runs(
+            graph, thinning(q, seed=11), trials=5, max_rounds=60,
+            backend=lane(backend),
+        )
         for trial, fast in enumerate(runs):
             ref = probabilistic_flood(
                 graph, source, q, seed=11, max_rounds=60, trial_index=trial
@@ -108,12 +143,14 @@ class TestThinningEquivalence:
 
 
 class TestLossEquivalence:
+    @pytest.mark.parametrize("backend", LANES)
     @pytest.mark.parametrize("rate", [0.0, 0.25, 0.6, 1.0])
     @pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: repr(g)[:24])
-    def test_matches_engine_per_trial(self, graph, rate):
+    def test_matches_engine_per_trial(self, graph, rate, backend):
         source = graph.nodes()[0]
         runs = fast_runs(
-            graph, bernoulli_loss(rate, seed=5), trials=5, max_rounds=80
+            graph, bernoulli_loss(rate, seed=5), trials=5, max_rounds=80,
+            backend=lane(backend),
         )
         for trial, fast in enumerate(runs):
             trace = lossy_flood(
@@ -137,10 +174,12 @@ class TestLossEquivalence:
         assert fast.mean_messages == ref.mean_messages
         assert fast.coverage == ref.coverage
 
-    def test_supercritical_dense_graph_cut_off_agrees(self):
+    @pytest.mark.parametrize("backend", LANES)
+    def test_supercritical_dense_graph_cut_off_agrees(self, backend):
         graph = complete_graph(6)
         fast = fast_runs(
-            graph, bernoulli_loss(0.25, seed=1), trials=3, max_rounds=200
+            graph, bernoulli_loss(0.25, seed=1), trials=3, max_rounds=200,
+            backend=lane(backend),
         )
         for trial, run in enumerate(fast):
             trace = lossy_flood(
@@ -257,16 +296,40 @@ class TestSpecValidation:
         assert not k_memory(2).stochastic
 
     def test_backend_rules(self):
-        index = IndexedGraph.of(cycle_graph(5))
+        small = IndexedGraph.of(cycle_graph(5))
         spec = bernoulli_loss(0.5, seed=1)
-        assert variant_backend(index, None, spec) == "pure"
-        assert variant_backend(index, "pure", spec) == "pure"
-        for forbidden in ("oracle", "numpy", "cuda"):
+        # Below the frontier thresholds auto-selection keeps the pure
+        # stepper; named lanes win, and variant_backend is select_backend.
+        assert variant_backend(small, None, spec) == "pure"
+        assert variant_backend(small, "pure", spec) == "pure"
+        if HAS_NUMPY:
+            assert variant_backend(small, "numpy", spec) == "numpy"
+        for forbidden in ("oracle", "cuda"):
             with pytest.raises(ConfigurationError):
-                variant_backend(index, forbidden, spec)
+                variant_backend(small, forbidden, spec)
+        # numpy runs only the stochastic kinds.
+        with pytest.raises(ConfigurationError, match="numpy"):
+            variant_backend(small, "numpy", k_memory(2))
         # ... and through the public sweep entry point.
         with pytest.raises(ConfigurationError):
             sweep(cycle_graph(5), [[0]], variant=spec, backend="oracle")
+
+    def test_auto_rule_past_the_frontier_thresholds(self):
+        # K70: 4830 arcs, mean degree 69 -- past both frontier
+        # thresholds, so supercritical stochastic runs take numpy.
+        dense = IndexedGraph.of(complete_graph(70))
+        numpy_or_pure = "numpy" if HAS_NUMPY else "pure"
+        cases = [
+            (bernoulli_loss(0.05), numpy_or_pure),  # 0.95 * 68 > 1
+            (thinning(0.9), numpy_or_pure),
+            (random_delay(0.3), numpy_or_pure),  # loses nothing
+            (bernoulli_loss(0.99), "pure"),  # 0.01 * 68 < 1: subcritical
+            (thinning(1 / 68), "pure"),  # exactly critical is not super
+            (k_memory(2), "pure"),  # deterministic kinds never numpy
+        ]
+        for spec, expected in cases:
+            assert variant_backend(dense, None, spec) == expected, spec
+            assert select_backend(dense, None, spec) == expected, spec
 
     def test_specs_are_hashable_and_picklable(self):
         import pickle
@@ -324,6 +387,50 @@ class TestPoolDeterminism:
             chunksize=chunksize,
         )
         self.assert_runs_identical(serial, sharded)
+
+    @pytest.fixture(scope="class", params=[1, 2], ids=lambda w: f"workers{w}")
+    def warm_pool(self, request, workload):
+        from repro.parallel import SweepPool
+
+        with SweepPool(workload[0], workers=request.param) as pool:
+            yield pool
+
+    @pytest.mark.parametrize("backend", LANES)
+    @pytest.mark.parametrize("kind", STOCHASTIC_KINDS)
+    @pytest.mark.parametrize("chunksize", [None, 1, 5])
+    def test_lanes_identical_across_workers_and_chunks(
+        self, workload, warm_pool, kind, backend, chunksize
+    ):
+        graph, source_sets = workload
+        spec = stochastic(kind, 0.6, seed=23)
+        expected = sweep(
+            graph,
+            source_sets,
+            max_rounds=40,
+            variant=spec,
+            backend="pure",
+            collect_senders=True,
+            collect_receives=True,
+        )
+        sharded = warm_pool.sweep(
+            source_sets,
+            max_rounds=40,
+            variant=spec,
+            backend=lane(backend),
+            chunksize=chunksize,
+            collect_senders=True,
+            collect_receives=True,
+        )
+        assert {run.backend for run in sharded} == {backend}
+        for left, right in zip(expected, sharded):
+            assert (left.terminated, left.termination_round) == (
+                right.terminated,
+                right.termination_round,
+            )
+            assert left.round_edge_counts == right.round_edge_counts
+            assert left.reached_count == right.reached_count
+            assert left.sender_ids == right.sender_ids
+            assert left.receive_rounds_by_id == right.receive_rounds_by_id
 
     def test_full_collection_crosses_processes(self, workload):
         graph, source_sets = workload
@@ -398,6 +505,90 @@ class TestPoolDeterminism:
         short = sweep(graph, source_sets[:6], variant=spec)
         longer = sweep(graph, source_sets, variant=spec)
         self.assert_runs_identical(short, longer[:6])
+
+
+class TestNumpyLane:
+    """The numpy arc-vector lane equals the pure stepper field for field."""
+
+    GRAPHS = GRAPHS + [torus_graph(6, 7), barabasi_albert(120, 3, seed=4)]
+
+    @staticmethod
+    def raw(run):
+        return (
+            run.terminated,
+            run.termination_round,
+            run.total_messages,
+            run.round_edge_counts,
+            run.sender_ids,
+            run.receive_rounds_by_id,
+            run.reached_count,
+        )
+
+    @pytest.mark.parametrize("kind", STOCHASTIC_KINDS)
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 0.95, 1.0])
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_numpy_lane_equals_pure_stepper(self, kind, p, collect):
+        backend = lane("numpy")
+        spec = stochastic(kind, p, seed=31)
+        for graph in self.GRAPHS:
+            nodes = graph.nodes()
+            source_sets = [[nodes[0]], [nodes[-1]], [nodes[1], nodes[-2]], nodes[:3]]
+            for budget in (1, 2, 7, 60):
+                expected = sweep(
+                    graph, source_sets, max_rounds=budget, variant=spec,
+                    backend="pure", collect_senders=collect,
+                    collect_receives=collect,
+                )
+                got = sweep(
+                    graph, source_sets, max_rounds=budget, variant=spec,
+                    backend=backend, collect_senders=collect,
+                    collect_receives=collect,
+                )
+                assert [self.raw(r) for r in got] == [
+                    self.raw(r) for r in expected
+                ], (graph, budget)
+                assert {r.backend for r in got} == {backend}
+
+    @pytest.mark.parametrize("backend", LANES)
+    @pytest.mark.parametrize("kind", STOCHASTIC_KINDS)
+    def test_budget_cut_off_semantics(self, kind, backend):
+        # A lossless flood on C9 runs exactly 9 rounds: budget 9
+        # terminates, budget 8 is cut off with every round executed.
+        graph = cycle_graph(9)
+        lossless = {"thinning": 1.0, "loss": 0.0, "random_delay": 0.0}
+        spec = stochastic(kind, lossless[kind], seed=0)
+        done = fast_runs(graph, spec, 1, max_rounds=9, backend=lane(backend))[0]
+        cut = fast_runs(graph, spec, 1, max_rounds=8, backend=backend)[0]
+        assert done.terminated and done.termination_round == 9
+        assert not cut.terminated and cut.termination_round == 8
+
+    @pytest.mark.parametrize("backend", LANES)
+    @pytest.mark.parametrize("kind", STOCHASTIC_KINDS)
+    def test_auto_selected_lane_on_a_dense_graph(self, kind, backend):
+        """Past the thresholds auto-selection picks numpy; same runs."""
+        graph = barabasi_albert(1200, 4, seed=2)
+        supercritical = {"thinning": 0.9, "loss": 0.1, "random_delay": 0.3}
+        spec = stochastic(kind, supercritical[kind], seed=4)
+        expected_auto = "numpy" if HAS_NUMPY else "pure"
+        specs = [
+            FloodSpec(
+                graph=graph, sources=(v,), max_rounds=10, variant=spec,
+                stream=i, collect_senders=True,
+            )
+            for i, v in enumerate(graph.nodes()[:6])
+        ]
+        with FloodSession(workers=0) as session:
+            auto = session.sweep(specs)
+            named = session.sweep(
+                [s.replace(backend=lane(backend)) for s in specs]
+            )
+            assert {session.plan(s).backend for s in specs} == {expected_auto}
+        assert {r.backend for r in auto} == {expected_auto}
+        for left, right in zip(auto, named):
+            assert (left.round_edge_counts, left.terminated, left.reached_count) == (
+                right.round_edge_counts, right.terminated, right.reached_count
+            )
+            assert left.sender_sets() == right.sender_sets()
 
 
 class TestSeedStreamRegression:

@@ -6,7 +6,9 @@ steppers.  This matrix is the contract: for every built-in scenario,
 across budgets and seed streams, the fast-path result equals the
 pinned reference engine's result field for field -- and the execution
 tiers (serial session, worker pools of 1/2/4, the result cache) are
-pure scheduling, never content.
+pure scheduling, never content.  The stochastic scenarios run on two
+lanes (the pure arc-mask stepper and the numpy arc-vector stepper);
+their rows are parametrized over both (``LANES``).
 
 ``make smoke`` runs this file fail-fast, mirroring the bitset and
 cache subsets.
@@ -17,6 +19,7 @@ import pytest
 from repro.api import FloodSession, FloodSpec
 from repro.cache import ResultCache
 from repro.errors import ConfigurationError
+from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.fastpath.variants import (
     VariantSpec,
     dynamic_schedule,
@@ -52,6 +55,17 @@ SCENARIOS = (
 )
 
 MULTI_SOURCE = {"flood", "multi_message"}
+
+STOCHASTIC_SCENARIOS = ("thinning:0.8", "lossy:0.15", "random_delay:0.4")
+LANES = ("pure", "numpy")
+"""The two stepper lanes of the stochastic scenarios."""
+
+
+def on_lane(spec, backend):
+    """``spec`` pinned to ``backend``, skipping when it cannot run here."""
+    if backend == "numpy" and not HAS_NUMPY:
+        pytest.skip("needs numpy")
+    return spec.replace(backend=backend)
 
 
 def build(scenario, graph, *, seed=0, stream=0, max_rounds=None):
@@ -120,6 +134,38 @@ class TestFastMatchesReference:
                     )
         assert len(outcomes) > 1
 
+    @pytest.mark.parametrize("backend", LANES)
+    @pytest.mark.parametrize("scenario", STOCHASTIC_SCENARIOS)
+    def test_stochastic_lanes_match_reference(self, scenario, backend):
+        """Both lanes equal the reference: every graph, default and
+        cut-off budgets, multi-source where the reference engine takes
+        several sources (the thinning/loss references are
+        single-source; their multi-source lane identity is pinned
+        against the pure stepper in test_fastpath_equivalence.py)."""
+        widths = (1, 2) if scenario.startswith("random_delay") else (1,)
+        with FloodSession(workers=0) as session:
+            for name in sorted(GRAPHS):
+                graph = GRAPHS[name]
+                labels = sorted(graph.nodes())
+                for width in widths:
+                    for max_rounds in (None, 1, 3):
+                        spec = on_lane(
+                            FloodSpec.from_scenario(
+                                scenario,
+                                graph,
+                                labels[-width:],
+                                seed=5,
+                                stream=1,
+                                max_rounds=max_rounds,
+                            ),
+                            backend,
+                        )
+                        fast = session.run(spec)
+                        assert fast.backend == backend
+                        assert_bit_identical(
+                            fast, session.run(spec, reference=True)
+                        )
+
     def test_periodic_injection_schedules(self):
         graph = GRAPHS["er24"]
         with FloodSession(workers=0) as session:
@@ -170,6 +216,14 @@ class TestPoolDeterminism:
             + [build("multi_message", graph) for _ in range(2)]
             + [build("dynamic:2", graph, seed=7) for _ in range(2)]
         )
+        if HAS_NUMPY:
+            specs += [
+                build(scenario, graph, seed=3, stream=stream).replace(
+                    backend="numpy"
+                )
+                for scenario in STOCHASTIC_SCENARIOS
+                for stream in range(4)
+            ]
 
         def snapshot(results):
             return [
@@ -225,6 +279,31 @@ class TestCacheBitIdentity:
             }
         ) == 4
 
+    @pytest.mark.parametrize("backend", LANES)
+    def test_stochastic_lane_hits_are_bit_identical(self, backend):
+        """Hits on either lane return the stored run, field for field."""
+        graph = GRAPHS["er24"]
+        specs = [
+            on_lane(build(scenario, graph, seed=4, stream=stream), backend)
+            for scenario in STOCHASTIC_SCENARIOS
+            for stream in (0, 1)
+        ]
+        cache = ResultCache()
+        with FloodSession(workers=0, cache=cache) as session:
+            cold = session.sweep(specs)
+            again = session.sweep(specs)
+            assert cache.stats().hits >= len(specs)
+        with FloodSession(workers=0) as session:
+            fresh = [session.run(spec.replace(backend="pure")) for spec in specs]
+        for first, hit, pure in zip(cold, again, fresh):
+            assert hit.backend == first.backend == backend
+            for run in (hit, pure):
+                assert run.terminated == first.terminated
+                assert run.termination_round == first.termination_round
+                assert run.round_edge_counts == first.round_edge_counts
+                assert run.total_messages == first.total_messages
+                assert run.reached_count == first.reached_count
+
     def test_dynamic_schedule_keys_the_cache_by_content(self):
         graph = GRAPHS["petersen"]
         one = build("dynamic:2", graph, seed=3)
@@ -240,7 +319,8 @@ class TestCacheBitIdentity:
 
 
 class TestBackendEligibility:
-    """Stochastic/step-granular steppers never route numpy or oracle."""
+    """Deterministic variant steppers never route numpy; none route the
+    oracle; the stochastic ones take numpy by name or by the rule."""
 
     def variants(self):
         from repro.fastpath.schedule import ArcSchedule
@@ -251,7 +331,6 @@ class TestBackendEligibility:
         return graph, [
             periodic_injection(2, 3),
             multi_message(),
-            random_delay(0.4),
             dynamic_schedule(ArcSchedule(graph, (full,))),
         ]
 
@@ -266,16 +345,38 @@ class TestBackendEligibility:
                     variant=variant,
                     backend=backend,
                 )
+        with pytest.raises(ConfigurationError, match="oracle"):
+            FloodSpec(
+                graph=graph, sources=(0,), variant=random_delay(0.4),
+                backend="oracle",
+            )
 
-    def test_auto_selection_resolves_pure_even_past_numpy_thresholds(self):
-        # complete_graph(70): 4830 arcs >= NUMPY_ARC_THRESHOLD and mean
-        # degree 69 >= NUMPY_MIN_MEAN_DEGREE -- a deterministic spec
-        # would route numpy here; variant specs must stay pure.
-        graph = complete_graph(70)
+    def test_stochastic_kinds_accept_the_numpy_lane(self):
+        if not HAS_NUMPY:
+            pytest.skip("needs numpy")
+        graph = GRAPHS["cycle9"]
+        spec = FloodSpec(
+            graph=graph, sources=(0,), variant=random_delay(0.4),
+            backend="numpy",
+        )
         with FloodSession(workers=0) as session:
-            for scenario in ("periodic:2", "random_delay:0.3"):
+            assert session.plan(spec).backend == "numpy"
+            assert session.run(spec).backend == "numpy"
+
+    def test_auto_selection_past_numpy_thresholds(self):
+        # complete_graph(70): 4830 arcs >= NUMPY_ARC_THRESHOLD and mean
+        # degree 69 >= NUMPY_MIN_MEAN_DEGREE.  Deterministic variant
+        # specs stay pure; random_delay (lossless, so supercritical)
+        # takes the numpy lane when numpy imports.
+        graph = complete_graph(70)
+        expected = {
+            "periodic:2": "pure",
+            "random_delay:0.3": "numpy" if HAS_NUMPY else "pure",
+        }
+        with FloodSession(workers=0) as session:
+            for scenario, backend in expected.items():
                 spec = FloodSpec.from_scenario(scenario, graph, [0])
-                assert session.plan(spec).backend == "pure"
+                assert session.plan(spec).backend == backend
 
 
 class TestValidation:
