@@ -25,7 +25,8 @@
 #                 budgets, seed streams, worker counts and cache
 #                 hits), the numpy-variant subset (the stochastic
 #                 kinds' numpy lane pinned bit-identical to the pure
-#                 stepper and the references; fail-fast likewise)
+#                 stepper and the references; fail-fast likewise),
+#                 the docstring examples (doctests of src/repro)
 #                 + the examples suite (the
 #                 facade-based examples run whole per PR) + the
 #                 tier-1 suite
@@ -68,6 +69,7 @@ smoke:
 	$(PYTHON) -m pytest -x -q tests/cache/test_cache_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/variants/test_scenario_fastpath_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/variants/test_fastpath_equivalence.py -k numpy
+	$(PYTHON) -m pytest -q --doctest-modules src/repro
 	$(PYTHON) -m pytest -x -q tests/integration/test_examples.py
 	$(PYTHON) -m pytest -x -q
 

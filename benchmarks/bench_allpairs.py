@@ -29,13 +29,13 @@ import time
 import pytest
 
 from repro.core import all_pairs_termination
-from repro.fastpath import IndexedGraph, select_backend, sweep
+from repro.fastpath import IndexedGraph, select_backend
 from repro.fastpath import oracle_backend
 from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.graphs import cycle_graph, erdos_renyi
 from repro.sync.engine import default_round_budget
 
-from conftest import record
+from conftest import record, serial_sweep
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -137,7 +137,7 @@ def test_ext_ap_frontier_crossover(benchmark, mean_degree):
     source_sets = [[v] for v in graph.nodes()[:8]]
 
     runs = benchmark.pedantic(
-        sweep,
+        serial_sweep,
         args=(graph, source_sets),
         kwargs={"backend": auto},
         rounds=1,
@@ -147,7 +147,7 @@ def test_ext_ap_frontier_crossover(benchmark, mean_degree):
 
     def timed(backend):
         started = time.perf_counter()
-        other = sweep(graph, source_sets, backend=backend)
+        other = serial_sweep(graph, source_sets, backend=backend)
         elapsed = time.perf_counter() - started
         assert [r.termination_round for r in other] == [
             r.termination_round for r in runs

@@ -1,13 +1,13 @@
 """EXT-API: the ``repro.api`` facade overhead rows.
 
-PR 5 routed every execution tier through one declarative request
-object: legacy ``sweep(graph, sets, ...)`` now constructs one
-:class:`~repro.api.spec.FloodSpec` per source set and runs the batch
-through the spec pipeline, and ``FloodSession.sweep`` is the facade
-form of the same call.  These rows pin the cost of that indirection:
+Every execution tier takes one declarative request object, the
+:class:`~repro.api.spec.FloodSpec`, and ``FloodSession.sweep`` is the
+facade over the engine's spec sweep.  These rows pin the cost of that
+indirection:
 
 * ``facade_overhead`` -- ``FloodSession.sweep`` (serial plan) vs the
-  direct ``fastpath.sweep`` of the same batch, identical results
+  direct engine call of the same batch -- ``sweep_specs`` of one
+  freshly built spec per source set -- identical results
   asserted, and the wall-clock ratio asserted under
   :data:`OVERHEAD_LIMIT` (the facade must stay within 5% of the direct
   call on the full workload; the smoke-sized lane gets headroom
@@ -31,7 +31,7 @@ import time
 import pytest
 
 from repro.api import FloodSession, FloodSpec
-from repro.fastpath import sweep
+from repro.fastpath import sweep_specs
 from repro.graphs import erdos_renyi
 from repro.parallel import worker_count
 
@@ -56,14 +56,19 @@ def workload():
 
 
 def test_ext_api_facade_overhead(benchmark, workload):
-    """FloodSession.sweep must stay within OVERHEAD_LIMIT of sweep()."""
+    """FloodSession.sweep must stay within OVERHEAD_LIMIT of sweep_specs()."""
     graph, sets, specs = workload
+
+    def direct():
+        return sweep_specs(
+            [FloodSpec(graph=graph, sources=tuple(s)) for s in sets]
+        )
 
     with FloodSession(workers=0) as session:
         # Warm both code paths (index freeze, memo caches) before
         # timing, then alternate direct/facade best-of-N so neither
         # side owns the cold caches.
-        direct_runs = sweep(graph, sets)
+        direct_runs = direct()
         facade_results = session.sweep(specs)
         assert [result.raw for result in facade_results] == direct_runs
 
@@ -71,7 +76,7 @@ def test_ext_api_facade_overhead(benchmark, workload):
         facade_best = None
         for _ in range(REPEATS):
             started = time.perf_counter()
-            sweep(graph, sets)
+            direct()
             elapsed = time.perf_counter() - started
             if direct_best is None or elapsed < direct_best:
                 direct_best = elapsed
@@ -90,7 +95,7 @@ def test_ext_api_facade_overhead(benchmark, workload):
 
     overhead = facade_best / direct_best
     assert overhead <= OVERHEAD_LIMIT, (
-        f"FloodSession.sweep costs {overhead:.3f}x the direct sweep() "
+        f"FloodSession.sweep costs {overhead:.3f}x the direct sweep_specs() "
         f"on {NODES} nodes x {BATCH} runs (limit {OVERHEAD_LIMIT}x)"
     )
     record(

@@ -7,16 +7,17 @@ levers PR 2 added on the acceptance workload -- a 10k-node ER graph
 (mean degree 8, the trajectory's scaling family) with a 256-source-set
 batch:
 
-* ``serial`` -- the single-process :func:`repro.fastpath.sweep`
-  baseline;
-* ``workers=2 / workers=4`` -- :func:`repro.parallel.parallel_sweep`
-  over real worker pools, asserted bit-identical to serial every time;
+* ``serial`` -- the single-process :func:`repro.fastpath.sweep_specs`
+  baseline (spec construction included);
+* ``workers=2 / workers=4`` -- ``FloodSession(workers=n).sweep`` over
+  real worker pools (pool start-up and close included), asserted
+  bit-identical to serial every time;
 * ``oracle`` -- ``backend="oracle"``: per-run cost is O(n + m)
   instead of O(m x rounds), asserted equal to the frontier engine on
   every termination round and message count;
 * ``oracle_long_floods`` -- on the long-flood families (odd cycle,
   odd and even torus) and a dense ER graph, the default
-  ``sweep(backend=None)`` against every lane, gated at 2x the fastest.
+  ``backend=None`` sweep against every lane, gated at 2x the fastest.
 
 The >= 2x four-worker speedup assertion is gated on the machine
 actually having >= 4 usable cores (container CI often pins one); the
@@ -34,16 +35,11 @@ import time
 
 import pytest
 
-from repro.fastpath import sweep
+from repro.api import FloodSession
 from repro.graphs import cycle_graph, erdos_renyi, torus_graph
-from repro.parallel import (
-    SweepPool,
-    default_chunksize,
-    parallel_sweep,
-    worker_count,
-)
+from repro.parallel import SweepPool, default_chunksize, worker_count
 
-from conftest import record
+from conftest import record, serial_sweep, spec_batch
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 FORCE_FAIL = os.environ.get("REPRO_BENCH_FORCE_FAIL", "") not in ("", "0")
@@ -83,7 +79,7 @@ def serial_baseline(workload):
     runs = None
     for _ in range(3):
         started = time.perf_counter()
-        runs = sweep(graph, source_sets)
+        runs = serial_sweep(graph, source_sets)
         elapsed = time.perf_counter() - started
         if best is None or elapsed < best:
             best = elapsed
@@ -112,7 +108,7 @@ def test_ext_par_sweep_serial(benchmark, workload, serial_baseline):
     """The single-process baseline row for the sharded-sweep trajectory."""
     graph, source_sets = workload
     runs = benchmark.pedantic(
-        sweep, args=(graph, source_sets), rounds=1, iterations=1
+        serial_sweep, args=(graph, source_sets), rounds=1, iterations=1
     )
     assert all(run.terminated for run in runs)
     serial_seconds, _ = serial_baseline
@@ -131,21 +127,19 @@ def test_ext_par_sweep_serial(benchmark, workload, serial_baseline):
 def test_ext_par_sweep_sharded(benchmark, workload, serial_baseline, workers):
     """Sharded sweeps: bit-identical to serial, speedup recorded.
 
-    Pool construction (fork + one index pickle per worker) is kept
-    *inside* the timed region -- that is the cost a fresh
-    ``parallel_sweep`` call actually pays.
+    Pool construction (fork + one index pickle per worker) and close
+    are kept *inside* the timed region -- that is the cost a fresh
+    ``FloodSession(workers=n).sweep`` call actually pays.
     """
     graph, source_sets = workload
     serial_seconds, serial_runs = serial_baseline
-    chunksize = default_chunksize(len(source_sets), workers)
 
-    runs = benchmark.pedantic(
-        parallel_sweep,
-        args=(graph, source_sets),
-        kwargs={"workers": workers, "chunksize": chunksize},
-        rounds=1,
-        iterations=1,
-    )
+    def sharded():
+        with FloodSession(workers=workers) as session:
+            return session.sweep(spec_batch(graph, source_sets))
+
+    results = benchmark.pedantic(sharded, rounds=1, iterations=1)
+    runs = [result.raw for result in results]
     _assert_identical(serial_runs, runs)
 
     parallel_seconds = benchmark.stats.stats.min
@@ -166,7 +160,7 @@ def test_ext_par_sweep_sharded(benchmark, workload, serial_baseline, workers):
         backend=runs[0].backend,
         batch=len(source_sets),
         workers=workers,
-        chunksize=chunksize,
+        chunksize=default_chunksize(len(source_sets), workers),
         usable_cores=cores,
         serial_seconds=serial_seconds,
         speedup=round(speedup, 2),
@@ -177,10 +171,11 @@ def test_ext_par_sweep_warm_pool(benchmark, workload, serial_baseline):
     """The serving shape: batch cost through an already-warm pool."""
     graph, source_sets = workload
     serial_seconds, serial_runs = serial_baseline
+    specs = spec_batch(graph, source_sets)
     with SweepPool(graph, workers=2) as pool:
-        pool.sweep(source_sets[:2])  # prime worker state
+        pool.sweep_specs(specs[:2])  # prime worker state
         runs = benchmark.pedantic(
-            pool.sweep, args=(source_sets,), rounds=1, iterations=1
+            pool.sweep_specs, args=(specs,), rounds=1, iterations=1
         )
     _assert_identical(serial_runs, runs)
     speedup = serial_seconds / benchmark.stats.stats.min
@@ -238,7 +233,7 @@ def _best_of(repeats, call):
 
 @pytest.mark.parametrize("family", sorted(LONG_FLOOD_GRAPHS))
 def test_ext_par_oracle_long_floods(benchmark, family):
-    """The default ``sweep(backend=None)`` against every lane, long floods.
+    """The default ``backend=None`` sweep against every lane, long floods.
 
     The cover bound (every flood sends at most one message per cover
     edge) makes a frontier flood's *total* work O(n + m + rounds), so
@@ -258,14 +253,16 @@ def test_ext_par_oracle_long_floods(benchmark, family):
     auto_backend = select_backend(IndexedGraph.of(graph), None)
 
     lanes = {
-        "pure": lambda: sweep(graph, sets, backend="pure"),
+        "pure": lambda: serial_sweep(graph, sets, backend="pure"),
         "oracle": lambda: [
-            run for one in sets for run in sweep(graph, [one], backend="oracle")
+            run
+            for one in sets
+            for run in serial_sweep(graph, [one], backend="oracle")
         ],
     }
     if HAS_NUMPY:
-        lanes["numpy"] = lambda: sweep(graph, sets, backend="numpy")
-        lanes["bitset"] = lambda: sweep(graph, sets, backend="oracle")
+        lanes["numpy"] = lambda: serial_sweep(graph, sets, backend="numpy")
+        lanes["bitset"] = lambda: serial_sweep(graph, sets, backend="oracle")
     lanes["pure"]()  # warm the per-index memo caches before timing
     seconds = {}
     reference = None
@@ -275,7 +272,9 @@ def test_ext_par_oracle_long_floods(benchmark, family):
         assert reference is None or stats == reference, lane
         reference = stats
 
-    runs = benchmark.pedantic(sweep, args=(graph, sets), rounds=3, iterations=1)
+    runs = benchmark.pedantic(
+        serial_sweep, args=(graph, sets), rounds=3, iterations=1
+    )
     assert [(r.termination_round, r.total_messages) for r in runs] == reference
     assert all(run.backend == auto_backend for run in runs)
     default_seconds = benchmark.stats.stats.min
@@ -316,7 +315,7 @@ def test_ext_par_sweep_oracle(benchmark, workload, serial_baseline):
     graph, source_sets = workload
     serial_seconds, serial_runs = serial_baseline
     runs = benchmark.pedantic(
-        sweep,
+        serial_sweep,
         args=(graph, source_sets),
         kwargs={"backend": "oracle"},
         rounds=1,

@@ -24,8 +24,9 @@ import time
 
 import pytest
 
+from repro.api import FloodSpec
 from repro.core import simulate
-from repro.fastpath import sweep
+from repro.fastpath import sweep_specs
 from repro.graphs import erdos_renyi
 from repro.parallel import worker_count
 from repro.service import FloodService
@@ -68,7 +69,10 @@ def serve_all(graph, sources, workers):
         async with FloodService(workers=workers, batch_window=0.001) as svc:
             svc.register(graph)
             runs = await asyncio.gather(
-                *(svc.query(graph, [source]) for source in sources)
+                *(
+                    svc.query_spec(FloodSpec(graph=graph, sources=(source,)))
+                    for source in sources
+                )
             )
             return runs, svc.stats
 
@@ -77,7 +81,12 @@ def serve_all(graph, sources, workers):
 
 def _assert_matches_serial(graph, sources, runs):
     """Service results must equal the serial sweep, request by request."""
-    serial = sweep(graph, [[s] for s in sources], backend=runs[0].backend)
+    serial = sweep_specs(
+        [
+            FloodSpec(graph=graph, sources=(s,), backend=runs[0].backend)
+            for s in sources
+        ]
+    )
     for expected, actual in zip(serial, runs):
         assert expected.sources == actual.sources
         assert expected.terminated == actual.terminated

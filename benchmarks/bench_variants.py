@@ -53,7 +53,6 @@ from repro.fastpath import (
     k_memory,
     random_delay,
     select_backend,
-    sweep,
     thinning,
     variant_survey,
 )
@@ -63,7 +62,7 @@ from repro.graphs.random_graphs import barabasi_albert
 from repro.parallel import worker_count
 from repro.variants import k_memory_trace, lossy_survey
 
-from conftest import record
+from conftest import record, serial_sweep
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -204,7 +203,7 @@ def test_ext_var_kmemory_fast_vs_engine(benchmark, workload):
     engine_seconds = time.perf_counter() - started
 
     runs = benchmark.pedantic(
-        sweep,
+        serial_sweep,
         args=(graph, [[source]]),
         kwargs={"max_rounds": budget, "variant": k_memory(k)},
         rounds=1,
@@ -301,7 +300,9 @@ def test_ext_var_stochastic_lanes(benchmark, workload, family):
 
     def batch(backend):
         return [
-            sweep(graph, sets, max_rounds=budget, variant=variant, backend=backend)
+            serial_sweep(
+                graph, sets, max_rounds=budget, variant=variant, backend=backend
+            )
             for _, variant, budget in kinds
         ]
 
@@ -315,7 +316,7 @@ def test_ext_var_stochastic_lanes(benchmark, workload, family):
             timings = {}
             for lane in sorted(live[position]) + [None]:
                 started = time.perf_counter()
-                out = sweep(
+                out = serial_sweep(
                     graph, sets, max_rounds=budget, variant=variant, backend=lane
                 )
                 timings[lane] = time.perf_counter() - started

@@ -20,3 +20,30 @@ def record(benchmark, **info) -> None:
     """Attach expected/measured observables to the benchmark report."""
     for key, value in info.items():
         benchmark.extra_info[key] = value
+
+
+def spec_batch(graph, source_sets, **fields):
+    """One :class:`~repro.api.FloodSpec` per source set.
+
+    Variant batches put set ``i`` on RNG stream ``i``, so identical
+    sources still run independent trials.
+    """
+    from repro.api import FloodSpec
+
+    trials = fields.get("variant") is not None
+    return [
+        FloodSpec(
+            graph=graph,
+            sources=tuple(sources),
+            stream=position if trials else 0,
+            **fields,
+        )
+        for position, sources in enumerate(source_sets)
+    ]
+
+
+def serial_sweep(graph, source_sets, **fields):
+    """The serial spec sweep of one batch, specs built inside the call."""
+    from repro.fastpath import sweep_specs
+
+    return sweep_specs(spec_batch(graph, source_sets, **fields))

@@ -8,13 +8,15 @@ would see.  The demo prints what the service did about it:
 
 * **coalescing** -- concurrent requests on the same topology ride one
   sharded pool batch (watch ``mean batch size``);
-* **routing** -- the long odd cycle is answered by the O(n + m)
-  double-cover oracle while the dense expander stays on the frontier
-  engines (watch the backend mix);
+* **routing** -- every request resolves its backend by the one rule
+  every tier shares (``select_backend``; watch the backend mix);
 * **backpressure** -- a deliberately tiny queue sheds load with a
   typed ``QueueFull`` instead of melting (watch the rejected count);
 * **determinism** -- every served result is re-checked against the
-  serial ``repro.fastpath.sweep`` of the same request.
+  serial ``repro.fastpath.sweep_specs`` of the same requests.
+
+Every request is a :class:`~repro.api.FloodSpec`: ``query_spec`` for one
+flood, ``query_batch_specs`` for a caller-shaped batch.
 
 Run it::
 
@@ -26,7 +28,8 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.fastpath import sweep
+from repro.api import FloodSpec
+from repro.fastpath import run_spec, sweep_specs
 from repro.graphs import complete_graph, cycle_graph, erdos_renyi
 from repro.service import FloodService, QueueFull
 
@@ -47,7 +50,8 @@ async def serve_burst(service, graphs, per_graph=24):
     queries = []
     for graph in graphs.values():
         for source in graph.nodes()[:per_graph]:
-            queries.append(service.query(graph, [source]))
+            spec = FloodSpec(graph=graph, sources=(source,))
+            queries.append(service.query_spec(spec))
     started = time.perf_counter()
     results = await asyncio.gather(*queries)
     elapsed = time.perf_counter() - started
@@ -58,14 +62,19 @@ def check_determinism(graphs, results, per_graph):
     """Every served run must equal its serial sweep, field by field."""
     position = 0
     for graph in graphs.values():
-        sets = [[v] for v in graph.nodes()[:per_graph]]
-        served = results[position : position + len(sets)]
-        serial = sweep(graph, sets, backend=served[0].backend)
+        specs = [
+            FloodSpec(graph=graph, sources=(v,))
+            for v in graph.nodes()[:per_graph]
+        ]
+        served = results[position : position + len(specs)]
+        serial = sweep_specs(
+            [spec.replace(backend=served[0].backend) for spec in specs]
+        )
         for expected, actual in zip(serial, served):
             assert expected.termination_round == actual.termination_round
             assert expected.total_messages == actual.total_messages
             assert expected.round_edge_counts == actual.round_edge_counts
-        position += len(sets)
+        position += len(specs)
 
 
 async def backpressure_demo(service, graph):
@@ -75,7 +84,7 @@ async def backpressure_demo(service, graph):
     async def one(source):
         nonlocal rejected
         try:
-            await service.query(graph, [source])
+            await service.query_spec(FloodSpec(graph=graph, sources=(source,)))
         except QueueFull:
             rejected += 1
 
@@ -106,7 +115,9 @@ async def main():
               f"largest {stats.largest_batch})")
         print(f"  routed backend mix      : {dict(stats.backends)}")
         by_family = {
-            name: sweep(graph, [[graph.nodes()[0]]])[0].termination_round
+            name: run_spec(
+                FloodSpec(graph=graph, sources=(graph.nodes()[0],))
+            ).termination_round
             for name, graph in graphs.items()
         }
         print(f"  termination rounds seen : {by_family}")
@@ -117,7 +128,7 @@ async def main():
         workers=0, max_pending=8, batch_window=0.05, on_full="raise"
     ) as small:
         rejected = await backpressure_demo(small, dense)
-        served = small.stats.queries
+        served = small.stats.batched_requests
         print(f"\nbackpressure demo (queue=8): {served} served, "
               f"{rejected} shed with QueueFull -- the service degrades "
               f"by refusing, not by queueing unboundedly")

@@ -13,10 +13,9 @@ async queries -- and plans each request from its spec alone:
   (graph, budget, backend request, variant, collection flags), each
   group resolved by :func:`~repro.fastpath.engine.select_backend` (the
   same rule as :meth:`FloodSession.run`) and run serially or across the
-  session's warm worker pool depending on batch size and usable cores
-  -- the same heuristics as
-  :func:`~repro.parallel.parallel_sweep`, with results returned in
-  input order and bit-identical to the serial path.
+  session's warm worker pool depending on batch size and usable cores,
+  with results returned in input order and bit-identical to the serial
+  path.
 * :meth:`FloodSession.aquery` -- one spec, asynchronously: coalesced
   with concurrent callers through the service's spec-keyed
   micro-batches (extension scenarios with set-based runners go to an
@@ -60,6 +59,14 @@ class ExecutionPlan:
     workers: int = 0
 
 
+def _loop_running() -> bool:
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return False
+    return True
+
+
 class FloodSession:
     """A facade session over engine, pool and service execution.
 
@@ -67,7 +74,7 @@ class FloodSession:
     ----------
     workers:
         ``None`` auto-sizes to the usable cores (and keeps small
-        batches serial, like :func:`~repro.parallel.parallel_sweep`);
+        batches serial, below :data:`~repro.parallel.MIN_PARALLEL_BATCH`);
         ``0`` forces everything in-process serial; ``n >= 1`` builds
         one real ``n``-worker pool shared by every batched graph (and
         an ``n``-worker service).  Results are bit-identical in every
@@ -131,8 +138,7 @@ class FloodSession:
     def _pooled(self, batch_size: int) -> bool:
         """Whether a fast-path group of ``batch_size`` runs uses a pool.
 
-        Mirrors :func:`~repro.parallel.parallel_sweep`: auto mode
-        (``workers=None``) requires both multiple usable cores and a
+        Auto mode (``workers=None``) requires both multiple usable cores and a
         batch big enough to amortise the pool; an explicit worker count
         always pools (the caller asked for workers, they get them);
         ``workers=0`` never pools.
@@ -173,9 +179,8 @@ class FloodSession:
         """Execute one spec serially; the facade form of ``simulate``.
 
         Every built-in scenario (and plain/variant spec) runs on the
-        arc-mask fast path, so the result is bit-identical to
-        ``simulate_indexed`` of the same request -- and to a
-        :meth:`sweep` of it, backend and cache entry included.
+        arc-mask fast path as a one-spec :meth:`sweep` group -- the same
+        backend, cache entry and bits as a :meth:`sweep` of it.
         ``reference=True`` is the escape hatch onto the pinned set-based
         engines (:func:`repro.api.scenarios.run_scenario`) -- the second
         opinion the equivalence matrix compares against; reference runs
@@ -187,28 +192,7 @@ class FloodSession:
             from repro.api.scenarios import run_scenario
 
             return run_scenario(spec)
-        from repro.fastpath.engine import run_spec
-
-        cache = self._results
-        if cache is None or spec.cache == "bypass":
-            return FloodResult.from_indexed(spec, run_spec(spec))
-        from repro.cache import decode_run, encode_run, result_cache_key
-        from repro.fastpath.engine import select_backend
-
-        index = spec.index()
-        key = result_cache_key(
-            spec, select_backend(index, spec.backend, spec.variant)
-        )
-        if spec.cache == "use":
-            blob = cache.get(key)
-            if blob is not None:
-                run = decode_run(blob, spec, index)
-                if run is not None:
-                    return FloodResult.from_indexed(spec, run)
-                cache.note_corrupt(key)
-        run = run_spec(spec, index=index)
-        cache.put(key, encode_run(run))
-        return FloodResult.from_indexed(spec, run)
+        return self._run_group([spec])[0]
 
     def sweep(self, specs: Iterable[FloodSpec]) -> List[FloodResult]:
         """Execute many specs; results in input order.
@@ -220,9 +204,16 @@ class FloodSession:
         one -- and each extension set-based scenario spec runs on its
         registered runner.  Grouping changes
         scheduling, never content: every group's results are
-        bit-identical to the serial spec sweep, which is itself
-        bit-identical to the legacy ``sweep``/``parallel_sweep`` of the
-        same requests.
+        bit-identical to the serial spec sweep
+        (:func:`~repro.fastpath.engine.sweep_specs`).
+
+        >>> from repro.api import FloodSession, FloodSpec
+        >>> from repro.graphs import cycle_graph
+        >>> graph = cycle_graph(9)
+        >>> specs = [FloodSpec(graph=graph, sources=s) for s in [(0,), (3,), (0, 4)]]
+        >>> with FloodSession() as session:
+        ...     [result.termination_round for result in session.sweep(specs)]
+        [9, 9, 7]
         """
         self._require_open()
         specs = list(specs)
@@ -254,14 +245,45 @@ class FloodSession:
         )
 
     def _run_group(self, group: List[FloodSpec]) -> List[FloodResult]:
+        """Execute one homogeneous group; with a cache, only its misses.
+
+        The cache partition is :func:`~repro.cache.policy.partition_specs`,
+        the policy the service applies too.  Only the misses execute (as
+        one sub-batch, pooled or serial by the *remaining* batch size);
+        in-batch duplicate misses execute once and later positions
+        decode private copies of the stored blob.  Every position's run
+        comes through the same rehydration funnel, so the group-ordered
+        result is bit-identical to the uncached sweep.
+        """
         if group[0].scenario is not None:
             from repro.api.scenarios import run_scenario
 
             return [run_scenario(spec) for spec in group]
-        if self._results is not None:
-            runs = self._run_group_cached(group)
-        else:
+        cache = self._results
+        runs: List[Any]
+        if cache is None:
             runs = self._execute_group(group)
+        else:
+            from repro.cache import decode_run, encode_run, partition_specs
+            from repro.fastpath.engine import batch_key_of
+
+            index = group[0].index()
+            chosen = batch_key_of(group, index).backend
+            plan = partition_specs(cache, group, chosen, index)
+            runs = [None] * len(group)
+            for position, run in plan.hits.items():
+                runs[position] = run
+            stored: Dict[str, bytes] = {}
+            executed = self._execute_group([group[p] for p, _ in plan.misses])
+            for (position, key), run in zip(plan.misses, executed):
+                runs[position] = run
+                if key is not None:
+                    stored[key] = encode_run(run)
+                    cache.put(key, stored[key])
+            for position, key in plan.duplicates.items():
+                run = decode_run(stored[key], group[position], index)
+                assert run is not None  # just encoded by this very process
+                runs[position] = run
         return [
             FloodResult.from_indexed(spec, run)
             for spec, run in zip(group, runs)
@@ -273,64 +295,6 @@ class FloodSession:
         from repro.fastpath.engine import sweep_specs
 
         return sweep_specs(group)
-
-    def _run_group_cached(self, group: List[FloodSpec]) -> List[Any]:
-        """Partition one homogeneous group into cache hits and misses.
-
-        Only the misses execute (as one sub-batch, pooled or serial by
-        the *remaining* batch size); in-batch duplicate misses execute
-        once and later positions decode private copies of the stored
-        blob.  The returned list is in group order -- the caller's
-        input-order contract and bit-identity to the uncached sweep are
-        preserved because every position's run comes through the same
-        rehydration funnel either way.
-        """
-        from repro.cache import decode_run, encode_run, result_cache_key
-        from repro.fastpath.engine import batch_key_of
-
-        cache = self._results
-        index = group[0].index()
-        chosen = batch_key_of(group, index).backend
-        results: List[Optional[Any]] = [None] * len(group)
-        keys: List[Optional[str]] = [None] * len(group)
-        miss_positions: List[int] = []
-        leaders: Dict[str, int] = {}
-        dup_of: Dict[int, str] = {}
-        for position, spec in enumerate(group):
-            if spec.cache == "bypass":
-                miss_positions.append(position)
-                continue
-            key = result_cache_key(spec, chosen)
-            if spec.cache == "use":
-                blob = cache.get(key)
-                if blob is not None:
-                    run = decode_run(blob, spec, index)
-                    if run is not None:
-                        results[position] = run
-                        continue
-                    cache.note_corrupt(key)
-            if key in leaders:
-                dup_of[position] = key
-                cache.note_coalesced()
-                continue
-            leaders[key] = position
-            keys[position] = key
-            miss_positions.append(position)
-        stored: Dict[str, bytes] = {}
-        if miss_positions:
-            runs = self._execute_group([group[p] for p in miss_positions])
-            for position, run in zip(miss_positions, runs):
-                results[position] = run
-                key = keys[position]
-                if key is not None:
-                    blob = encode_run(run)
-                    stored[key] = blob
-                    cache.put(key, blob)
-        for position, key in dup_of.items():
-            run = decode_run(stored[key], group[position], index)
-            assert run is not None  # just encoded by this very process
-            results[position] = run
-        return results  # type: ignore[return-value]
 
     def _shared_pool(self, graph: Graph) -> Any:
         """The session's one pool, warmed with ``graph`` if first built."""
@@ -354,7 +318,7 @@ class FloodSession:
         the micro-batch key, and the result is bit-identical to
         :meth:`run` of the same spec, backend included.  Extension
         set-based scenario specs run on an executor thread.  ``timeout`` / ``on_full`` follow
-        :meth:`repro.service.FloodService.query`.
+        :meth:`repro.service.FloodService.query_spec`.
         """
         self._require_open()
         if spec.scenario is not None:
@@ -402,18 +366,27 @@ class FloodSession:
             raise ConfigurationError("this FloodSession is closed")
 
     def close(self) -> None:
-        """Reap the session's pool (and service, best-effort).
+        """Reap the session's pool (and its idle service).
 
-        If :meth:`aquery` was used, prefer ``async with`` or
-        :meth:`aclose`, which drain the service on its own event loop;
-        the synchronous form spins a fresh loop to close an idle
-        service.
+        If :meth:`aquery` was used, close with ``async with`` or
+        :meth:`aclose`, which drain the service on its own event loop.
+        Outside a running loop the synchronous form spins a fresh loop
+        to close an idle service; inside one it cannot, so it raises
+        :class:`~repro.errors.ConfigurationError` and leaves the session
+        open for ``await session.aclose()``.
         """
         if self._closed:
             return
+        service = self._service
+        if service is not None and not service._closed and _loop_running():
+            raise ConfigurationError(
+                "FloodSession.close() cannot drain its service inside a "
+                "running event loop; use `await session.aclose()` (or "
+                "`async with FloodSession()`)"
+            )
         self._closed = True
         self._close_pool()
-        service, self._service = self._service, None
+        self._service = None
         if service is not None and not service._closed:
             asyncio.run(service.close())
 

@@ -1,12 +1,10 @@
 """``FloodSpec``: one declarative request object for every execution tier.
 
-The repo grew four ways to run a flood -- ``core.amnesiac.simulate``,
-``fastpath.sweep``/``simulate_indexed``, ``parallel_sweep``/``SweepPool``
-and ``FloodService.query`` -- and every new capability (backends,
-variants, per-request RNG keys) had to be hand-threaded through
-all of them as parallel kwarg pipelines.  This module collapses the
-request shape into a single frozen dataclass, validated **once** at
-construction:
+The repo runs a flood four ways -- the serial engine, the batch
+sweep, the worker pool and the async service -- and every capability
+(backends, variants, per-request RNG keys) reaches all of them
+through one request shape: a single frozen dataclass, validated
+**once** at construction:
 
 * :class:`FloodSpec` -- graph + sources + round budget + backend +
   :class:`~repro.fastpath.variants.VariantSpec` + RNG
@@ -197,8 +195,8 @@ class FloodSpec:
             )
         # Sources: validate against the graph and canonicalise to a
         # first-seen-ordered label tuple.  Deliberately index-free --
-        # construction must stay O(sources), never O(graph): legacy
-        # shims build one spec per source set, and touching the CSR
+        # construction must stay O(sources), never O(graph): batch
+        # callers build one spec per source set, and touching the CSR
         # index LRU here can cost a full graph-equality compare per
         # spec when an equal-but-distinct graph occupies the cache slot.
         seen = set()

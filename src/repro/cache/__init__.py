@@ -9,6 +9,9 @@ never recompute.  This package is that tier:
   (``digest:resolved_backend``) and the version-stamped codec that
   turns an :class:`~repro.fastpath.engine.IndexedRun` into a compact
   blob and back (corruption decodes to a miss, never a wrong result).
+* :mod:`repro.cache.policy` -- :func:`partition_specs`, the one cache
+  policy every serving tier applies (hits, corrupt entries, in-flight
+  joins, in-batch duplicates).
 * :mod:`repro.cache.lru` -- :class:`ResultCache`, the entry- and
   byte-bounded in-process LRU with hit/miss/eviction/coalesce counters
   (:class:`CacheStats`), shareable between a session and its service.
@@ -41,11 +44,13 @@ from repro.cache.lru import (
     CacheStats,
     ResultCache,
 )
+from repro.cache.policy import CachePlan, partition_specs
 from repro.cache.store import CacheStore, DirectoryStore
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "CACHE_MAGIC",
+    "CachePlan",
     "CacheStats",
     "CacheStore",
     "DEFAULT_MAX_BYTES",
@@ -54,5 +59,6 @@ __all__ = [
     "ResultCache",
     "decode_run",
     "encode_run",
+    "partition_specs",
     "result_cache_key",
 ]

@@ -28,7 +28,6 @@ from repro.graphs.properties import bipartition, is_connected
 from repro.graphs.traversal import diameter, set_eccentricity
 from repro.core.amnesiac import FloodingRun, simulate
 from repro.core.oracle import OraclePrediction, predict
-from repro.parallel import parallel_sweep
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ def all_pairs_termination(
     at ``pair_limit`` pairs) -- used by the multi-source sweep benchmark
     to show how termination time shrinks as sources spread out.
 
-    Runs as one :func:`repro.parallel.parallel_sweep` batch: the graph
+    Runs as one :meth:`~repro.api.FloodSession.sweep` batch: the graph
     is CSR-indexed once, the quadratic pair enumeration is sharded
     across the machine's cores (serial below the pool's batch floor),
     and each pair flood collects only the scalar statistics.  The
@@ -204,7 +203,13 @@ def all_pairs_termination(
             pairs.append((nodes[i], nodes[j]))
         if pair_limit is not None and len(pairs) >= pair_limit:
             break
-    runs = parallel_sweep(graph, pairs, backend="oracle")
+    from repro.api.session import FloodSession
+    from repro.api.spec import FloodSpec
+
+    specs = [FloodSpec(graph=graph, sources=pair, backend="oracle") for pair in pairs]
+    with FloodSession() as session:
+        results = session.sweep(specs)
     return [
-        (pair, run.termination_round) for pair, run in zip(pairs, runs)
+        (pair, result.raw.termination_round)
+        for pair, result in zip(pairs, results)
     ]

@@ -32,14 +32,15 @@ equivalence-matrix tests (``tests/core/test_engine_equivalence.py``)
 hold them bit-for-bit equal to the reference frontier simulator and the
 message-passing engine.
 
-Entry points:
+Entry points (requests are :class:`~repro.api.spec.FloodSpec` values;
+``repro.api.FloodSession`` is the facade over them):
 
-* :func:`simulate_indexed` -- one flood, full statistics
+* :func:`run_spec` -- one flood, serially
   (:func:`repro.core.amnesiac.simulate` delegates here);
-* :func:`sweep` -- many floods over one graph, indexing amortised,
-  light statistics (powers ``all_pairs_termination`` and the scaling
-  benchmarks); :func:`repro.parallel.parallel_sweep` is its sharded
-  multi-core form;
+* :func:`sweep_specs` -- a homogeneous batch of specs over one graph,
+  indexing amortised (powers ``all_pairs_termination`` and the scaling
+  benchmarks through ``FloodSession.sweep``, whose worker pool is its
+  sharded multi-core form);
 * :func:`step_arc_mask` / :func:`evolve_arc_mask` -- arbitrary initial
   configurations packed into arc bitmasks (powers the
   initial-conditions census);
@@ -53,9 +54,9 @@ Entry points:
   / :func:`random_delay` / :func:`dynamic_schedule`) and
   :func:`variant_survey` -- arc-mask steppers for every built-in
   process variant with counter-based per-(run, round) randomness,
-  pluggable into ``sweep``/``parallel_sweep``/the service via
-  ``variant=`` (:mod:`repro.fastpath.variants`; the stochastic kinds
-  also run on numpy arc-vector lanes); dynamic topologies
+  pluggable into every tier through ``FloodSpec(variant=...)``
+  (:mod:`repro.fastpath.variants`; the stochastic kinds also run on
+  numpy arc-vector lanes); dynamic topologies
   travel as the arc-diff :class:`ArcSchedule` format
   (:mod:`repro.fastpath.schedule`).
 """
@@ -75,9 +76,7 @@ from repro.fastpath.engine import (
     evolve_arc_mask,
     run_spec,
     select_backend,
-    simulate_indexed,
     step_arc_mask,
-    sweep,
     sweep_specs,
 )
 from repro.fastpath.indexed import IndexedGraph
@@ -124,9 +123,7 @@ __all__ = [
     "random_delay",
     "run_spec",
     "select_backend",
-    "simulate_indexed",
     "step_arc_mask",
-    "sweep",
     "sweep_specs",
     "thinning",
     "variant_backend",

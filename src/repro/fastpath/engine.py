@@ -1,4 +1,4 @@
-"""Backend dispatch, ``simulate_indexed``, batch ``sweep`` and arc-mask orbits.
+"""Backend dispatch, spec execution (``run_spec``/``sweep_specs``) and arc-mask orbits.
 
 This module is the public face of the fast path.  It validates inputs
 with the same errors as the reference simulators, picks a backend, and
@@ -22,7 +22,7 @@ Backend selection
 
 :func:`select_backend` is the one resolution rule, and every tier
 (``run_spec``, :func:`batch_key_of`/:func:`sweep_specs`, the worker
-pool, ``parallel_sweep``, ``FloodSession`` and the service) calls it,
+pool, ``FloodSession`` and the service) calls it,
 so a spec resolves to the same backend -- and the same cache key --
 whichever tier runs it.  ``backend=None`` picks a frontier engine:
 numpy when it is importable *and* the graph has at least
@@ -65,7 +65,7 @@ from typing import (
 )
 
 from repro.api.spec import BatchKey, FloodSpec
-from repro.errors import ConfigurationError, NonTerminationError
+from repro.errors import ConfigurationError
 from repro.fastpath import bitset_oracle, numpy_backend, oracle_backend, pure_backend
 from repro.fastpath.indexed import IndexedGraph
 from repro.fastpath.variants import (
@@ -75,7 +75,6 @@ from repro.fastpath.variants import (
     validate_variant_backend,
 )
 from repro.graphs.graph import Graph, Node
-from repro.sync.engine import default_round_budget
 
 PURE = "pure"
 NUMPY = "numpy"
@@ -207,14 +206,6 @@ def _supercritical(index: IndexedGraph, variant: VariantSpec) -> bool:
     return variant.probability * (index.num_arcs - index.n) > index.n
 
 
-def _resolve_budget(graph: Graph, max_rounds: Optional[int]) -> int:
-    if max_rounds is None:
-        return default_round_budget(graph)
-    if max_rounds < 1:
-        raise ConfigurationError("max_rounds must be >= 1")
-    return max_rounds
-
-
 @dataclass
 class IndexedRun:
     """Result of one fast-path flood, in id space with label accessors.
@@ -305,18 +296,13 @@ def _dispatch(
     index: IndexedGraph,
     source_ids: Sequence[int],
     key: BatchKey,
-    run_key: int = 0,
 ) -> pure_backend.RawRun:
-    """Run one flood described by a resolved :class:`BatchKey`.
+    """Run one deterministic flood described by a resolved :class:`BatchKey`.
 
-    The single execution funnel: the serial entry points, the worker
-    pool's chunk bodies and the service's serial executor all reach the
-    backends through this function, with the same key object they
-    batched on -- so "batchable together" and "runs identically" are
-    one definition.
+    The per-run leg of :func:`dispatch_batch`, with the same key object
+    the batch was resolved to -- so "batchable together" and "runs
+    identically" are one definition.
     """
-    if key.variant is not None:
-        return dispatch_batch(index, [source_ids], key, [run_key])[0]
     if key.backend == NUMPY:
         runner = numpy_backend.run
     elif key.backend == ORACLE:
@@ -340,7 +326,7 @@ def dispatch_batch(
 ) -> List[pure_backend.RawRun]:
     """Run one resolved batch of source-id lists; one RawRun per list.
 
-    The batch-granular execution funnel layered over :func:`_dispatch`:
+    The batch-granular execution funnel over the backends:
     the serial spec sweep, the worker pool's chunk bodies and the
     service's serial executor all run their batches through this
     function.  Variant batches go to
@@ -435,70 +421,15 @@ def raw_run_of(run: IndexedRun) -> pure_backend.RawRun:
     return raw
 
 
-def _require_fastpath_spec(spec: FloodSpec) -> None:
-    if spec.scenario is not None:
-        raise ConfigurationError(
-            f"scenario {spec.scenario!r} runs on the reference engines; "
-            f"use FloodSession.run (the fast path has no stepper for it)"
-        )
-
-
 def run_spec(spec: FloodSpec, index: Optional[IndexedGraph] = None) -> IndexedRun:
     """One flood from a validated :class:`FloodSpec`, serially.
 
-    The spec-native core behind :func:`simulate_indexed` (which is now
-    a shim constructing a spec) and ``FloodSession.run``; the backend
-    comes from :func:`select_backend`, exactly as for a batch of the
-    same spec.  Pass ``index`` to reuse a prebuilt
+    A one-spec :func:`sweep_specs` batch -- the same backend and the
+    same bits as the spec in any batch; the paper-facing
+    ``core.simulate`` runs here.  Pass ``index`` to reuse a prebuilt
     :class:`IndexedGraph`.
     """
-    _require_fastpath_spec(spec)
-    if index is None:
-        index = spec.index()
-    source_ids = index.resolve_sources(spec.sources)
-    chosen = select_backend(index, spec.backend, spec.variant)
-    raw = _dispatch(index, source_ids, spec.batch_key(chosen), spec.run_key())
-    return wrap_raw_run(index, source_ids, chosen, raw, spec.variant)
-
-
-def simulate_indexed(
-    graph: Graph,
-    sources: Iterable[Node],
-    max_rounds: Optional[int] = None,
-    raise_on_budget: bool = False,
-    backend: Optional[str] = None,
-    collect_senders: bool = True,
-    collect_receives: bool = True,
-    index: Optional[IndexedGraph] = None,
-    variant: Optional[VariantSpec] = None,
-) -> IndexedRun:
-    """Fast exact amnesiac flooding on the CSR index.
-
-    Mirrors :func:`repro.core.amnesiac.simulate` (which delegates
-    here), including validation errors and budget semantics; pass
-    ``index`` to reuse a prebuilt :class:`IndexedGraph` across calls.
-    A ``variant`` spec runs the stochastic/memory stepper instead of
-    the deterministic process (as run 0 of its seed stream -- sweeps
-    give later positions to later runs).
-
-    This is a shim over the declarative request path: it constructs a
-    :class:`~repro.api.spec.FloodSpec` and delegates to
-    :func:`run_spec`, so the kwargs and the spec pipelines cannot
-    drift.
-    """
-    spec = FloodSpec(
-        graph=graph,
-        sources=tuple(sources),
-        max_rounds=max_rounds,
-        backend=backend,
-        variant=variant,
-        collect_senders=collect_senders,
-        collect_receives=collect_receives,
-    )
-    run = run_spec(spec, index=index)
-    if not run.terminated and raise_on_budget:
-        raise NonTerminationError(spec.max_rounds)
-    return run
+    return sweep_specs([spec], index)[0]
 
 
 def routed_sweep_backend(
@@ -516,81 +447,6 @@ def routed_sweep_backend(
     return select_backend(index, backend)
 
 
-def sweep(
-    graph: Graph,
-    source_sets: Iterable[Iterable[Node]],
-    max_rounds: Optional[int] = None,
-    backend: Optional[str] = None,
-    collect_senders: bool = False,
-    collect_receives: bool = False,
-    variant: Optional[VariantSpec] = None,
-) -> List[IndexedRun]:
-    """Run many floods over one graph, indexing it exactly once.
-
-    The batch form behind ``all_pairs_termination``, the
-    initial-conditions census sweeps and the scaling benchmarks: the
-    CSR freeze, backend choice and budget resolution are hoisted out of
-    the per-run loop, and per-run collection defaults to the cheap
-    statistics (termination round, message totals, per-round counts).
-
-    Results come back in input order, one :class:`IndexedRun` per
-    source set, and are plain picklable dataclasses (the shared index
-    serialises without its process-local memo caches), so they can
-    cross process boundaries -- :func:`repro.parallel.parallel_sweep`
-    is the drop-in sharded form of this function for batches large
-    enough to spread across cores.
-
-    Pass ``backend="oracle"`` for the statistics fast lane: the
-    double-cover oracle answers termination rounds and message counts
-    in O(n + m) per source set, independent of flood length, and is
-    held bit-for-bit equal to the frontier engines by the equivalence
-    matrix.  ``backend=None`` is the frontier auto-selection of
-    :func:`select_backend`, the same rule as a single run.
-
-    A ``variant`` spec (:mod:`repro.fastpath.variants`) runs every
-    source set through the stochastic/memory stepper instead: run
-    ``i`` of the batch draws from the counter-based stream
-    ``derive_key(variant.seed, i)``, so results are bit-identical to
-    any resharding of the same batch (``parallel_sweep`` relies on
-    this) and never route to the oracle.
-
-    >>> from repro.fastpath import sweep
-    >>> from repro.graphs import cycle_graph
-    >>> runs = sweep(cycle_graph(9), [[0], [3], [0, 4]])
-    >>> [run.termination_round for run in runs]
-    [9, 9, 7]
-    >>> fast = sweep(cycle_graph(9), [[0], [3], [0, 4]], backend="oracle")
-    >>> [run.termination_round for run in fast]
-    [9, 9, 7]
-
-    This is a shim over the declarative request path: every source set
-    becomes a :class:`~repro.api.spec.FloodSpec` (position ``i`` at
-    stream ``i`` for variant work) and the batch runs through
-    :func:`sweep_specs`.
-    """
-    specs = [
-        FloodSpec(
-            graph=graph,
-            sources=tuple(sources),
-            max_rounds=max_rounds,
-            backend=backend,
-            variant=variant,
-            stream=position if variant is not None else 0,
-            collect_senders=collect_senders,
-            collect_receives=collect_receives,
-        )
-        for position, sources in enumerate(source_sets)
-    ]
-    if not specs:
-        # Preserve the legacy contract that an empty batch still
-        # validates its budget and backend before returning nothing.
-        index = IndexedGraph.of(graph)
-        _resolve_budget(graph, max_rounds)
-        select_backend(index, backend, variant)
-        return []
-    return sweep_specs(specs)
-
-
 def ensure_homogeneous_specs(specs: Sequence[FloodSpec]) -> FloodSpec:
     """Check a spec batch agrees on everything execution-relevant.
 
@@ -601,10 +457,13 @@ def ensure_homogeneous_specs(specs: Sequence[FloodSpec]) -> FloodSpec:
     :class:`BatchKey`.  Returns the lead spec.
     """
     head = specs[0]
-    _require_fastpath_spec(head)
-    for spec in specs[1:]:
-        _require_fastpath_spec(spec)
-        if (
+    for spec in specs:
+        if spec.scenario is not None:
+            raise ConfigurationError(
+                f"scenario {spec.scenario!r} runs on the reference engines; "
+                f"use FloodSession.run (the fast path has no stepper for it)"
+            )
+        if spec is not head and (
             spec.graph != head.graph
             or spec.max_rounds != head.max_rounds
             or spec.backend != head.backend
@@ -638,12 +497,23 @@ def sweep_specs(
 ) -> List[IndexedRun]:
     """Run a homogeneous batch of specs serially, indexing once.
 
-    The spec-native core behind :func:`sweep`: all specs must share
-    their graph and execution-relevant fields (they may differ in
-    sources and RNG ``stream``), the CSR freeze and backend resolution are
-    hoisted out of the loop, and each run draws from its *own* spec's
-    stream key -- so a batch built by the :func:`sweep` shim reproduces
-    the legacy position-keyed randomness exactly.
+    All specs must share their graph and execution-relevant fields
+    (they may differ in sources and RNG ``stream``); the CSR freeze and
+    backend resolution are hoisted out of the loop, and each run draws
+    from its *own* spec's stream key, so any resharding of the batch
+    (the worker pool, the service) reproduces it bit for bit.  Results
+    come back in input order as plain picklable dataclasses.
+
+    >>> from repro.api import FloodSpec
+    >>> from repro.fastpath import sweep_specs
+    >>> from repro.graphs import cycle_graph
+    >>> graph = cycle_graph(9)
+    >>> specs = [FloodSpec(graph=graph, sources=s) for s in [(0,), (3,), (0, 4)]]
+    >>> [run.termination_round for run in sweep_specs(specs)]
+    [9, 9, 7]
+    >>> oracle = [spec.replace(backend="oracle") for spec in specs]
+    >>> [run.termination_round for run in sweep_specs(oracle)]
+    [9, 9, 7]
     """
     specs = list(specs)
     if not specs:

@@ -46,7 +46,7 @@ frontier backends (and with :mod:`repro.parallel` workers).
 The one thing the oracle cannot do is arbitrary initial conditions
 (:func:`~repro.fastpath.engine.step_arc_mask` configurations): the
 cover correspondence holds for source-style starts only, which is
-exactly the shape :func:`~repro.fastpath.engine.sweep` dispatches.
+exactly the shape :func:`~repro.fastpath.engine.sweep_specs` dispatches.
 """
 
 from __future__ import annotations

@@ -58,9 +58,10 @@ Entry points
 :class:`VariantSpec` (build with :func:`thinning`,
 :func:`bernoulli_loss`, :func:`k_memory`, :func:`periodic_injection`,
 :func:`multi_message`, :func:`random_delay`,
-:func:`dynamic_schedule`) plugs into ``fastpath.sweep(...,
-variant=spec)``, ``parallel_sweep``, ``SweepPool.sweep`` and
-``FloodService.query``; :func:`variant_survey` is the Monte-Carlo
+:func:`dynamic_schedule`) plugs into every tier as
+``FloodSpec(variant=spec)`` -- ``FloodSession.run``/``sweep``,
+``SweepPool.sweep_specs`` and ``FloodService.query_spec``;
+:func:`variant_survey` is the Monte-Carlo
 aggregation over a trial batch.  :func:`run_variants` is the raw
 batch dispatch the engine and the worker pool call.
 """
@@ -1182,31 +1183,34 @@ def variant_survey(
     trials: int,
     max_rounds: Optional[int] = None,
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
 ) -> VariantSummary:
     """Monte-Carlo summary of a variant from one source, on the fast path.
 
-    Trial ``i`` draws from the stream ``derive_key(variant.seed, i)``,
-    so the summary is bit-identical for every ``workers`` /
-    ``chunksize`` choice (the pool shards the batch; the keys do not
-    move) and matches the counter-seeded reference surveys trial for
-    trial.  ``workers=None`` auto-sizes exactly like
-    :func:`repro.parallel.parallel_sweep`.
+    Trial ``i`` is a spec at ``stream=i``, drawing from
+    ``derive_key(variant.seed, i)``, so the summary is bit-identical
+    for every ``workers`` choice (the pool shards the batch; the keys
+    do not move) and matches the counter-seeded reference surveys trial
+    for trial.  ``workers`` follows :class:`~repro.api.FloodSession`.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
+    from repro.api.session import FloodSession
+    from repro.api.spec import FloodSpec
     from repro.graphs.traversal import bfs_distances
-    from repro.parallel import parallel_sweep
 
     component = len(bfs_distances(graph, source))
-    runs = parallel_sweep(
-        graph,
-        [[source]] * trials,
-        max_rounds=max_rounds,
-        variant=variant,
-        workers=workers,
-        chunksize=chunksize,
-    )
+    specs = [
+        FloodSpec(
+            graph=graph,
+            sources=(source,),
+            max_rounds=max_rounds,
+            variant=variant,
+            stream=trial,
+        )
+        for trial in range(trials)
+    ]
+    with FloodSession(workers=workers) as session:
+        runs = [result.raw for result in session.sweep(specs)]
     terminated = 0
     rounds_total = 0
     messages_total = 0

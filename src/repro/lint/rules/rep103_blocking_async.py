@@ -16,8 +16,10 @@ executor callback may block -- and are skipped):
 * synchronous file I/O: builtin ``open(...)`` and the pathlib
   one-shots ``.read_text``/``.write_text``/``.read_bytes``/
   ``.write_bytes``,
-* a direct ``.sweep(...)`` call -- the blocking sweep-pool entry point;
-  coroutines must use the submit/future side of the pool instead.
+* a direct ``.sweep(...)`` or ``.sweep_specs(...)`` call -- the
+  blocking batch entry points (``FloodSession.sweep``,
+  ``SweepPool.sweep_specs``); coroutines must use the submit/future
+  side of the pool, ``FloodSession.aquery`` or the service instead.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from repro.lint.rules.common import ImportMap, call_name, is_builtin_call
 RULE_ID = "REP103"
 
 _BLOCKING_DOTTED = ("time.sleep",)
-_BLOCKING_METHODS = (
+_BLOCKING_SWEEPS = ("sweep", "sweep_specs")
+_BLOCKING_METHODS = _BLOCKING_SWEEPS + (
     "read_bytes",
     "read_text",
-    "sweep",
     "write_bytes",
     "write_text",
 )
@@ -71,10 +73,12 @@ def _blocking_reason(node: ast.Call, imports: ImportMap) -> str:
         isinstance(node.func, ast.Attribute)
         and node.func.attr in _BLOCKING_METHODS
     ):
-        if node.func.attr == "sweep":
+        if node.func.attr in _BLOCKING_SWEEPS:
             return (
-                ".sweep() is the blocking pool entry point; coroutines "
-                "must use the submit/future side of the pool"
+                f".{node.func.attr}() blocks until the whole batch ran "
+                "(FloodSession.sweep / SweepPool.sweep_specs); coroutines "
+                "must use SweepPool.submit_batch, FloodSession.aquery or "
+                "the service"
             )
         return (
             f".{node.func.attr}() is synchronous file I/O and blocks the "
@@ -111,8 +115,8 @@ register_rule(
         rule_id=RULE_ID,
         name="blocking-async",
         summary=(
-            "time.sleep / sync file I/O / blocking .sweep() inside "
-            "async def"
+            "time.sleep / sync file I/O / blocking .sweep() or "
+            ".sweep_specs() inside async def"
         ),
         check=check,
     )

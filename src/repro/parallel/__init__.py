@@ -8,20 +8,16 @@ index and write independent results, which makes them embarrassingly
 parallel -- this package is the worker-pool layer that puts them on
 all cores:
 
-* :func:`parallel_sweep` -- sharded drop-in for
-  :func:`repro.fastpath.sweep`: partitions a batch of source sets
-  across ``multiprocessing`` workers (the index is pickled once per
-  worker, never per run), streams results back in deterministic input
-  order, applies a chunk-size heuristic, and falls back to the serial
-  loop for small batches or single-core machines.  Output is
-  bit-identical to the serial sweep for every worker count and chunk
-  size.
-* :class:`SweepPool` -- the reusable serving shape: one pool of warm
-  workers per graph, many batches through it.  Its async hooks
-  (:meth:`~repro.parallel.pool.SweepPool.sweep_async` /
-  :meth:`~repro.parallel.pool.SweepPool.submit_ids`) return
-  :class:`concurrent.futures.Future` s and are what the query service
-  (:mod:`repro.service`) drives; :func:`serial_sweep_ids` is the same
+* :class:`SweepPool` -- the worker pool behind ``FloodSession.sweep``:
+  one pool of warm workers, many spec batches through it.  It shards
+  a batch across ``multiprocessing`` workers (the index is pickled
+  once per worker, never per run), applies a chunk-size heuristic and
+  returns results in deterministic input order, bit-identical to the
+  serial spec sweep for every worker count and chunk size.
+  :meth:`~repro.parallel.pool.SweepPool.sweep_specs` blocks;
+  :meth:`~repro.parallel.pool.SweepPool.submit_batch` returns a
+  :class:`concurrent.futures.Future` and is what the query service
+  (:mod:`repro.service`) drives; :func:`serial_batch_ids` is the same
   post-validation loop without processes (the service's 1-core mode).
 * :func:`repro.parallel.census.classify_masks` -- the same sharding
   for the configuration census's orbit detections; its sibling
@@ -30,7 +26,8 @@ all cores:
   bitset sweep on large deterministic batches).
 
 ``repro.core`` routes :func:`~repro.core.multisource.all_pairs_termination`
-and :func:`~repro.core.initial_conditions.classify_all_configurations`
+(through ``FloodSession.sweep``) and
+:func:`~repro.core.initial_conditions.classify_all_configurations`
 through this package behind unchanged signatures, so existing callers
 scale to the machine without code changes.  See
 ``docs/architecture.md`` for the dataflow.
@@ -46,9 +43,7 @@ from repro.parallel.pool import (
     MIN_PARALLEL_BATCH,
     SweepPool,
     default_chunksize,
-    parallel_sweep,
     serial_batch_ids,
-    serial_sweep_ids,
     worker_count,
 )
 
@@ -59,9 +54,7 @@ __all__ = [
     "SweepPool",
     "classify_masks",
     "default_chunksize",
-    "parallel_sweep",
     "receipt_counts",
     "serial_batch_ids",
-    "serial_sweep_ids",
     "worker_count",
 ]

@@ -87,7 +87,7 @@ def classify_masks(
 
     ``workers=None`` auto-sizes and falls back to the serial loop when
     the batch is below :data:`MIN_PARALLEL_CENSUS` or only one core is
-    usable -- same contract as :func:`repro.parallel.parallel_sweep`,
+    usable -- same contract as :class:`~repro.api.FloodSession` batches,
     with a higher floor because orbit detections are far cheaper per
     item than sweep floods.
     """
@@ -123,7 +123,6 @@ def receipt_counts(
     source_sets: Sequence[Iterable[object]],
     max_rounds: Optional[int] = None,
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
 ) -> List[Tuple[int, ...]]:
     """Per-node receive counts for many source sets, oracle-backed.
 
@@ -131,22 +130,26 @@ def receipt_counts(
     each node receives the message when flooding starts from
     ``source_sets[i]`` (0, 1 or 2 -- never more, by the double-cover
     correspondence).  The batch runs as one
-    :func:`~repro.parallel.parallel_sweep` on the oracle backend, so
+    :meth:`~repro.api.FloodSession.sweep` on the oracle backend, so
     large deterministic batches take the word-packed bitset cover
     sweep and the pool sharding rules apply unchanged (serial below
     the batch floor or on one core).
     """
-    from repro.parallel.pool import parallel_sweep
+    from repro.api.session import FloodSession
+    from repro.api.spec import FloodSpec
 
-    runs = parallel_sweep(
-        graph,
-        source_sets,
-        max_rounds=max_rounds,
-        backend="oracle",
-        workers=workers,
-        chunksize=chunksize,
-        collect_receives=True,
-    )
+    specs = [
+        FloodSpec(
+            graph=graph,
+            sources=tuple(sources),
+            max_rounds=max_rounds,
+            backend="oracle",
+            collect_receives=True,
+        )
+        for sources in source_sets
+    ]
+    with FloodSession(workers=workers) as session:
+        runs = [result.raw for result in session.sweep(specs)]
     # receive_rounds_by_id is indexed by CSR node id, which follows
     # graph.nodes() order by construction.
     return [

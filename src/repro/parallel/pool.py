@@ -1,8 +1,8 @@
 """The sharded sweep pool: one graph, many floods, all cores.
 
-A sweep (:func:`repro.fastpath.sweep`) is embarrassingly parallel
-across source sets: every run reads the same frozen CSR index and
-writes an independent result.  This module shards a batch across
+A spec batch (:func:`repro.fastpath.sweep_specs`) is embarrassingly
+parallel across source sets: every run reads the same frozen CSR index
+and writes an independent result.  This module shards a batch across
 ``multiprocessing`` workers with exactly one expensive transfer:
 
 * the parent pickles the pool's own
@@ -25,43 +25,38 @@ writes an independent result.  This module shards a batch across
   keeps the last :data:`WORKER_INDEX_CACHE` such indexes unpickled in
   an LRU keyed by :meth:`~repro.graphs.graph.Graph.content_digest`, so
   a warm worker unpickles a foreign index once, not once per chunk;
-* ordered ``imap`` keeps results streaming back in deterministic input
-  order regardless of which worker finishes first, so parallel output
-  is **bit-identical** to the serial sweep -- same dataclasses, same
-  field values, same ordering (the determinism tests assert this across
-  worker counts and chunk sizes, budget cut-offs included).
+* every batch ships through one ``map_async`` call
+  (:meth:`SweepPool.submit_batch`), which delivers chunk results in
+  task order regardless of which worker finishes first, so parallel
+  output is **bit-identical** to the serial spec sweep -- same
+  dataclasses, same field values, same ordering (the determinism tests
+  assert this across worker counts and chunk sizes, budget cut-offs
+  included).
 
-Entry points
-------------
-
-:func:`parallel_sweep`
-    One-shot drop-in for :func:`repro.fastpath.sweep`.  Auto-sizes the
-    pool to the usable cores, falls back to the serial loop for small
-    batches or single-core machines (identical results either way), and
-    accepts the same ``backend=`` names, including ``"oracle"``.
-
-:class:`SweepPool`
-    The reusable form for serving workloads: keep one pool of warm
-    workers and push many batches through it, paying worker start-up
-    once per pool instead of once per call.  :meth:`SweepPool.sweep_specs`
-    is the spec-native batch form the
-    :class:`~repro.api.session.FloodSession` facade drives; it accepts
-    specs of any graph, so one session keeps one pool.
+:class:`SweepPool` keeps one pool of warm workers for many batches,
+paying worker start-up once per pool instead of once per call.
+:meth:`SweepPool.sweep_specs` is the blocking spec batch the
+:class:`~repro.api.session.FloodSession` facade drives (it accepts
+specs of any graph, so one session keeps one pool);
+:meth:`SweepPool.submit_batch` is the future-returning form the
+service drives.  ``FloodSession.sweep`` is the one-shot entry point:
+it builds the pool lazily and keeps small batches serial.
 
 Usage::
 
+    from repro.api import FloodSession, FloodSpec
     from repro.graphs import erdos_renyi
-    from repro.parallel import SweepPool, parallel_sweep
+    from repro.parallel import SweepPool
 
     graph = erdos_renyi(10_000, 8 / 10_000, seed=1, connected=True)
-    sets = [[v] for v in graph.nodes()[:512]]
+    specs = [FloodSpec(graph=graph, sources=(v,)) for v in graph.nodes()[:512]]
 
-    runs = parallel_sweep(graph, sets)            # auto workers/chunks
-    runs = parallel_sweep(graph, sets, workers=4) # pin the pool size
+    with FloodSession(workers=4) as session:      # one-shot batches
+        results = session.sweep(specs)
 
     with SweepPool(graph, workers=4) as pool:     # serving shape
-        first = pool.sweep(sets)
-        again = pool.sweep(sets, backend="oracle")
+        first = pool.sweep_specs(specs)
+        again = pool.sweep_specs([s.replace(backend="oracle") for s in specs])
 """
 
 from __future__ import annotations
@@ -78,16 +73,14 @@ from repro.api.spec import BatchKey, FloodSpec
 from repro.errors import ConfigurationError
 from repro.fastpath.engine import (
     IndexedRun,
-    _resolve_budget,
     batch_key_of,
     dispatch_batch,
-    select_backend,
     wrap_raw_run,
 )
 from repro.fastpath.indexed import IndexedGraph
 from repro.fastpath.pure_backend import RawRun
 from repro.fastpath.variants import VariantSpec
-from repro.graphs.graph import Graph, Node
+from repro.graphs.graph import Graph
 
 MIN_PARALLEL_BATCH = 32
 """Below this many source sets, auto mode keeps the sweep serial.
@@ -229,7 +222,7 @@ class SweepPool:
     """A persistent pool of workers warmed with one graph's CSR index.
 
     The serving-scale shape: build once, push many batches through
-    :meth:`sweep` / :meth:`sweep_specs`.  Construction forks/spawns
+    :meth:`sweep_specs` / :meth:`submit_batch`.  Construction forks/spawns
     ``workers`` processes and ships each the pickled index of ``graph``
     (the pool's own) exactly once; after that, every batch on that
     graph costs only its per-chunk dispatch.  :meth:`sweep_specs` also
@@ -267,36 +260,6 @@ class SweepPool:
 
     # ------------------------------------------------------------------
 
-    def sweep(
-        self,
-        source_sets: Iterable[Iterable[Node]],
-        max_rounds: Optional[int] = None,
-        backend: Optional[str] = None,
-        chunksize: Optional[int] = None,
-        collect_senders: bool = False,
-        collect_receives: bool = False,
-        variant: Optional[VariantSpec] = None,
-    ) -> List[IndexedRun]:
-        """Run one batch across the pool; results in input order.
-
-        Same signature and semantics as :func:`repro.fastpath.sweep`
-        (validation, budget resolution and backend selection all happen
-        in the parent, so errors surface before any work is
-        dispatched), including the ``variant`` stepper lane with its
-        per-position seed streams.  A legacy shim over the spec pipeline: the kwargs
-        resolve to one :class:`BatchKey` exactly like a
-        :meth:`sweep_specs` batch.
-        """
-        id_lists = [
-            self.index.resolve_sources(sources) for sources in source_sets
-        ]
-        budget = _resolve_budget(self.graph, max_rounds)
-        chosen = select_backend(self.index, backend, variant)
-        key = BatchKey(budget, chosen, collect_senders, collect_receives, variant)
-        return self._sweep_ids(
-            id_lists, key, chunksize, _variant_run_keys(variant, len(id_lists))
-        )
-
     def sweep_specs(
         self,
         specs: Sequence[FloodSpec],
@@ -329,7 +292,7 @@ class SweepPool:
             if key.variant is not None
             else None
         )
-        return self._sweep_ids(id_lists, key, chunksize, run_keys, index)
+        return self.submit_batch(id_lists, key, chunksize, run_keys, index).result()
 
     def _shipped(self, index: IndexedGraph) -> _Shipped:
         """What a chunk on ``index`` carries: nothing for the own graph,
@@ -350,72 +313,66 @@ class SweepPool:
             self._payloads.move_to_end(graph)
         return shipped
 
-    def sweep_async(
-        self,
-        source_sets: Iterable[Iterable[Node]],
-        max_rounds: Optional[int] = None,
-        backend: Optional[str] = None,
-        chunksize: Optional[int] = None,
-        collect_senders: bool = False,
-        collect_receives: bool = False,
-        variant: Optional[VariantSpec] = None,
-    ) -> "Future[List[IndexedRun]]":
-        """Submit one batch without blocking; returns a future of the runs.
-
-        The non-blocking twin of :meth:`sweep` and the hook the async
-        service layer (:mod:`repro.service`) drives: validation, budget
-        resolution and backend selection still happen synchronously in
-        the caller (errors raise *here*, before anything is enqueued),
-        then the chunks are handed to the pool and a
-        :class:`concurrent.futures.Future` completes -- on the pool's
-        result-handler thread -- with exactly the list :meth:`sweep`
-        would have returned.  Bridge it into an event loop with
-        :func:`asyncio.wrap_future`.
-        """
-        id_lists = [
-            self.index.resolve_sources(sources) for sources in source_sets
-        ]
-        budget = _resolve_budget(self.graph, max_rounds)
-        chosen = select_backend(self.index, backend, variant)
-        key = BatchKey(budget, chosen, collect_senders, collect_receives, variant)
-        return self.submit_batch(
-            id_lists, key, chunksize, _variant_run_keys(variant, len(id_lists))
-        )
-
     def submit_batch(
         self,
         id_lists: Sequence[List[int]],
         key: BatchKey,
         chunksize: Optional[int] = None,
         run_keys: Optional[Sequence[int]] = None,
+        index: Optional[IndexedGraph] = None,
     ) -> "Future[List[IndexedRun]]":
         """Submit already-resolved id lists under one :class:`BatchKey`.
 
-        The async post-validation core, used by the service layer: it
-        resolves and validates sources itself so it can batch requests
-        in id space, and its micro-batch buckets are keyed by exactly
-        the ``key`` object submitted here.  For variant work the caller
-        supplies one RNG stream key per id list (the service derives
-        them per *request*, so coalescing cannot move a query onto a
-        different stream).  The returned future resolves to the same
-        (ordered, parent-index-wrapped) runs the blocking path
-        produces; a worker failure resolves it exceptionally instead.
+        The pool's one dispatch path: :meth:`sweep_specs` blocks on it
+        and the service layer bridges it into its event loop.  The
+        service resolves and validates sources itself so it can batch
+        requests in id space, and its micro-batch buckets are keyed by
+        exactly the ``key`` object submitted here.  For variant work the
+        caller supplies one RNG stream key per id list (the service
+        derives them per *request*, so coalescing cannot move a query
+        onto a different stream); ``run_keys`` is sliced with the same
+        offsets as ``id_lists``, so a run carries its key into whichever
+        chunk and worker it lands on, and variant work with no explicit
+        keys gets the default position-keyed derivation.  ``index`` is
+        the graph the ids belong to (default: the pool's own); chunks on
+        another graph ship its pickled index (:meth:`_shipped`) and
+        results wrap against it.  The returned future resolves, on the
+        pool's result-handler thread, to the runs in input order; a
+        worker failure resolves it exceptionally instead.
         """
+        if index is None:
+            index = self.index
         future: "Future[List[IndexedRun]]" = Future()
         future.set_running_or_notify_cancel()
         if not id_lists:
             future.set_result([])
             return future
-        tasks = self._make_tasks(id_lists, key, chunksize, run_keys)
+        if chunksize is None:
+            chunksize = default_chunksize(len(id_lists), self.workers)
+        elif chunksize < 1:
+            raise ConfigurationError("chunksize must be >= 1")
+        if run_keys is None:
+            run_keys = _variant_run_keys(key.variant, len(id_lists))
+        elif len(run_keys) != len(id_lists):
+            raise ConfigurationError("run_keys must align one-to-one with id_lists")
+        shipped = self._shipped(index)
+        tasks: List[_Task] = [
+            (
+                start,
+                list(id_lists[start : start + chunksize]),
+                key,
+                None if run_keys is None else list(run_keys[start : start + chunksize]),
+                shipped,
+            )
+            for start in range(0, len(id_lists), chunksize)
+        ]
 
         def on_done(ordered: List[_TaskResult]) -> None:
-            # map_async delivers every chunk in task order, so flatten
-            # and rehydrate exactly like the blocking path.
+            # map_async delivers every chunk in task order, so
+            # concatenation recovers input order without a sort.
             try:
                 raw_runs = [raw for _, chunk in ordered for raw in chunk]
-                future.set_result(
-                    _wrap_runs(self.index, id_lists, raw_runs, key)
-                )
+                future.set_result(_wrap_runs(index, id_lists, raw_runs, key))
             except BaseException as exc:  # pragma: no cover - defensive
                 future.set_exception(exc)
 
@@ -436,85 +393,17 @@ class SweepPool:
         variant: Optional[VariantSpec] = None,
         run_keys: Optional[Sequence[int]] = None,
     ) -> "Future[List[IndexedRun]]":
-        """Legacy-signature shim over :meth:`submit_batch`."""
+        """Compatibility name for :meth:`submit_batch` with kwargs.
+
+        The name and signature remain because the repository benchmark
+        (``perfbench/layers.py``) calls them.
+        """
         return self.submit_batch(
             id_lists,
             BatchKey(budget, backend, collect_senders, collect_receives, variant),
             chunksize,
             run_keys,
         )
-
-    def _make_tasks(
-        self,
-        id_lists: Sequence[List[int]],
-        key: BatchKey,
-        chunksize: Optional[int],
-        run_keys: Optional[Sequence[int]] = None,
-        shipped: _Shipped = None,
-    ) -> List[_Task]:
-        """Shard id lists into positioned chunk tasks (shared by both paths).
-
-        Every chunk carries ``shipped`` (see :meth:`_shipped`).
-        ``run_keys`` is sliced with the same offsets as ``id_lists``: a
-        run carries its stream key with it into whichever chunk and
-        worker it lands on.  Variant work with no explicit keys gets
-        the default position-keyed derivation, so a caller reaching
-        this layer directly can never silently run every trial on one
-        stream.
-        """
-        if chunksize is None:
-            chunksize = default_chunksize(len(id_lists), self.workers)
-        elif chunksize < 1:
-            raise ConfigurationError("chunksize must be >= 1")
-        if run_keys is None:
-            run_keys = _variant_run_keys(key.variant, len(id_lists))
-        if run_keys is not None and len(run_keys) != len(id_lists):
-            raise ConfigurationError(
-                "run_keys must align one-to-one with id_lists"
-            )
-        return [
-            (
-                start,
-                list(id_lists[start : start + chunksize]),
-                key,
-                (
-                    list(run_keys[start : start + chunksize])
-                    if run_keys is not None
-                    else None
-                ),
-                shipped,
-            )
-            for start in range(0, len(id_lists), chunksize)
-        ]
-
-    def _sweep_ids(
-        self,
-        id_lists: Sequence[List[int]],
-        key: BatchKey,
-        chunksize: Optional[int],
-        run_keys: Optional[Sequence[int]] = None,
-        index: Optional[IndexedGraph] = None,
-    ) -> List[IndexedRun]:
-        """Dispatch already-resolved id lists (the post-validation core).
-
-        ``index`` is the graph the ids belong to (default: the pool's
-        own); results wrap against it.
-        """
-        if not id_lists:
-            return []
-        if index is None:
-            index = self.index
-        tasks = self._make_tasks(
-            id_lists, key, chunksize, run_keys, self._shipped(index)
-        )
-        raw_runs: List[RawRun] = []
-        # Ordered imap: chunks stream back in submission order even
-        # when a later chunk finishes first, so concatenation recovers
-        # input order without a sort.
-        for position, chunk_results in self._pool.imap(_run_chunk, tasks):
-            assert position == len(raw_runs), "chunk streamed out of order"
-            raw_runs.extend(chunk_results)
-        return _wrap_runs(index, id_lists, raw_runs, key)
 
     # ------------------------------------------------------------------
 
@@ -554,85 +443,10 @@ def serial_batch_ids(
     one code path, one determinism contract, pool or no pool, and one
     :class:`BatchKey` object from admission to execution.  Variant work
     with ``run_keys=None`` defaults to the position-keyed derivation
-    (run ``i`` on stream ``derive_key(variant.seed, i)``), matching
-    :func:`repro.fastpath.sweep`.
+    (run ``i`` on stream ``derive_key(variant.seed, i)``), matching a
+    spec batch whose run ``i`` sits at ``stream=i``.
     """
     if run_keys is None:
         run_keys = _variant_run_keys(key.variant, len(id_lists))
     raw_runs = dispatch_batch(index, id_lists, key, run_keys)
     return _wrap_runs(index, id_lists, raw_runs, key)
-
-
-def serial_sweep_ids(
-    index: IndexedGraph,
-    id_lists: Sequence[List[int]],
-    budget: int,
-    backend: str,
-    collect_senders: bool = False,
-    collect_receives: bool = False,
-    variant: Optional[VariantSpec] = None,
-    run_keys: Optional[Sequence[int]] = None,
-) -> List[IndexedRun]:
-    """Legacy-signature shim over :func:`serial_batch_ids`."""
-    return serial_batch_ids(
-        index,
-        id_lists,
-        BatchKey(budget, backend, collect_senders, collect_receives, variant),
-        run_keys,
-    )
-
-
-def parallel_sweep(
-    graph: Graph,
-    source_sets: Iterable[Iterable[Node]],
-    max_rounds: Optional[int] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    collect_senders: bool = False,
-    collect_receives: bool = False,
-    variant: Optional[VariantSpec] = None,
-) -> List[IndexedRun]:
-    """Sharded drop-in for :func:`repro.fastpath.sweep`.
-
-    Partitions ``source_sets`` into chunks, runs them across a worker
-    pool, and returns :class:`IndexedRun` results in input order,
-    bit-identical to the serial sweep.
-
-    Parameters beyond the serial signature:
-
-    workers:
-        ``None`` (default) auto-sizes to the usable cores and *also*
-        enables the serial fallback: batches smaller than
-        :data:`MIN_PARALLEL_BATCH` (or machines with one usable core)
-        run in-process, because a pool cannot pay for itself there.  An
-        explicit count -- including ``workers=1`` -- always builds a
-        real pool of exactly that size; the determinism tests rely on
-        this to exercise actual cross-process runs (pickling included)
-        on small batches.
-    chunksize:
-        Source sets per task; ``None`` applies
-        :func:`default_chunksize`.  Only affects scheduling, never
-        results.
-
-    >>> from repro.graphs import cycle_graph
-    >>> runs = parallel_sweep(cycle_graph(9), [[0], [3], [0, 4]])
-    >>> [run.termination_round for run in runs]
-    [9, 9, 7]
-    """
-    index = IndexedGraph.of(graph)
-    id_lists = [index.resolve_sources(sources) for sources in source_sets]
-    budget = _resolve_budget(graph, max_rounds)
-    chosen = select_backend(index, backend, variant)
-    if chunksize is not None and chunksize < 1:
-        raise ConfigurationError("chunksize must be >= 1")
-    key = BatchKey(budget, chosen, collect_senders, collect_receives, variant)
-    run_keys = _variant_run_keys(variant, len(id_lists))
-    resolved_workers = worker_count(workers)
-    serial = workers is None and (
-        resolved_workers <= 1 or len(id_lists) < MIN_PARALLEL_BATCH
-    )
-    if serial:
-        return serial_batch_ids(index, id_lists, key, run_keys)
-    with SweepPool(graph, workers=resolved_workers) as pool:
-        return pool._sweep_ids(id_lists, key, chunksize, run_keys)

@@ -1,8 +1,8 @@
 """Micro-batching: coalesce concurrent single queries into pool batches.
 
 The sweep pool is a batch engine -- its unit of dispatch is a chunk of
-source-id lists -- while service callers arrive one ``await query()``
-at a time.  The :class:`MicroBatcher` bridges the two shapes: requests
+source-id lists -- while service callers arrive one ``await
+query_spec()`` at a time.  The :class:`MicroBatcher` bridges the two shapes: requests
 that share a batch key -- for the flood service, the graph entry plus
 the request spec's :class:`~repro.api.spec.BatchKey`, i.e. everything
 that changes how the pool must run them -- accumulate in a bucket, and

@@ -2,7 +2,7 @@
 
 :class:`FloodService` turns the batch-shaped sweep machinery into a
 low-latency query service: concurrent callers ``await
-service.query(graph, sources)`` and the service coalesces their
+service.query_spec(spec)`` and the service coalesces their
 requests into sharded batches over warm :class:`~repro.parallel.SweepPool`
 workers, with bounded-queue backpressure, per-request round budgets
 and timeouts, per-topology caching, and the same backend resolution
@@ -10,29 +10,29 @@ as every other tier (:func:`~repro.fastpath.engine.select_backend`).
 
 Dataflow (one request's life)::
 
-    caller ──await query()──► FloodSpec built + validated (errors raise here)
-                              resolve backend (select_backend)
-                              admit: bounded pending gate ── full? ──► QueueFull
-                                                                  or await slot
-                              micro-batcher bucket keyed by the spec's
-                              BatchKey (+ graph entry) ── window/size ──► flush
-                              SweepPool.submit_batch ──chunks──► warm workers
-                              (or the serial executor when workers=0)
-    caller ◄──IndexedRun────  distribute batch results to request futures,
-                              release admission slots
+    caller ──await query_spec()──► resolve backend (select_backend)
+                                   cache partition (partition_specs):
+                                   hit, join an in-flight run, or lead
+                                   admit: bounded pending gate ── full? ──► QueueFull
+                                                                       or await slot
+                                   micro-batcher bucket keyed by the spec's
+                                   BatchKey (+ graph entry) ── window/size ──► flush
+                                   SweepPool.submit_batch ──chunks──► warm workers
+                                   (or the serial executor when workers=0)
+    caller ◄──IndexedRun─────────  distribute batch results to request futures,
+                                   release admission slots
 
 Requests are :class:`~repro.api.spec.FloodSpec` values end-to-end:
-``query``/``query_batch`` are kwargs shims that construct specs and
-delegate to :meth:`FloodService.query_spec` /
-:meth:`FloodService.query_batch_specs`, and the micro-batch buckets are
+:meth:`FloodService.query_spec` (one request, micro-batched) and
+:meth:`FloodService.query_batch_specs` (a caller-shaped batch,
+dispatched whole) share one funnel, and the micro-batch buckets are
 keyed by ``(graph entry, spec.batch_key(backend))`` -- the same frozen
 :class:`~repro.api.spec.BatchKey` object the pool ships in its task
-tuples, replacing the ad-hoc key tuples each layer used to maintain.
+tuples.
 
-Determinism contract: the result a caller gets for ``(graph, sources,
-max_rounds, backend)`` is **bit-identical** to
-``repro.fastpath.sweep(graph, [sources], ...)`` -- for every worker
-count, batching window, and interleaving of concurrent callers.
+Determinism contract: the result a caller gets for a spec is
+**bit-identical** to ``repro.fastpath.sweep_specs([spec])`` -- for every
+worker count, batching window, and interleaving of concurrent callers.
 Batching and sharding change scheduling, never content: requests keep
 arrival order inside a batch, the pool streams results back in input
 order, and backend resolution is a pure function of the spec and its
@@ -50,7 +50,6 @@ from typing import (
     Any,
     Deque,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -59,13 +58,17 @@ from typing import (
 )
 
 from repro.api.spec import BatchKey, FloodSpec
-from repro.cache.keys import decode_run, encode_run, result_cache_key
+from repro.cache.keys import decode_run, encode_run
 from repro.cache.lru import CacheStats, ResultCache
+from repro.cache.policy import partition_specs
 from repro.errors import ConfigurationError
-from repro.fastpath.engine import IndexedRun, select_backend
+from repro.fastpath.engine import (
+    IndexedRun,
+    ensure_homogeneous_specs,
+    select_backend,
+)
 from repro.fastpath.indexed import IndexedGraph
-from repro.fastpath.variants import VariantSpec
-from repro.graphs.graph import Graph, Node
+from repro.graphs.graph import Graph
 from repro.parallel.pool import SweepPool, serial_batch_ids, worker_count
 from repro.service.batcher import MicroBatcher
 from repro.service.errors import QueryTimeout, QueueFull, ServiceClosed, ServiceError
@@ -99,6 +102,10 @@ DEFAULT_MAX_GRAPHS = 8
 class ServiceStats:
     """Served-traffic counters, updated live by the service.
 
+    ``queries`` counts every request that passed validation, counted
+    once in the shared request funnel before the cache partition and
+    admission: served from cache, joined, executed, rejected by
+    backpressure or timed out alike.
     ``batched_requests / batches`` is the effective coalescing factor;
     ``rejected`` counts :class:`~repro.service.errors.QueueFull`
     rejections, ``waited`` the admissions that blocked on a slot, and
@@ -301,8 +308,8 @@ class FloodService:
 
         async with FloodService(workers=4) as service:
             service.register(graph)               # optional warm-up
-            run = await service.query(graph, [source])
-            runs = await service.query_batch(graph, many_sets)
+            run = await service.query_spec(FloodSpec(graph=graph, sources=(v,)))
+            runs = await service.query_batch_specs(specs)
     """
 
     def __init__(
@@ -418,7 +425,7 @@ class FloodService:
         pool (when ``workers >= 1``).  This call **blocks** while the pool forks and warms --
         that is its purpose (move the warm-up off the first request's
         latency); call it from setup code, not from a latency-sensitive
-        coroutine.  ``query``/``query_batch`` auto-register unseen
+        coroutine.  ``query_spec``/``query_batch_specs`` auto-register unseen
         graphs too, building the pool off-loop so concurrent callers
         keep flowing.
         """
@@ -543,50 +550,6 @@ class FloodService:
 
     # -- queries -------------------------------------------------------
 
-    async def query(
-        self,
-        graph: Graph,
-        sources: Iterable[Node],
-        *,
-        max_rounds: Optional[int] = None,
-        backend: Optional[str] = None,
-        variant: Optional[VariantSpec] = None,
-        timeout: Any = _UNSET,
-        on_full: Optional[str] = None,
-        collect_senders: bool = False,
-        collect_receives: bool = False,
-    ) -> IndexedRun:
-        """One flood query; coalesced with concurrent callers' requests.
-
-        Validation (unknown nodes, bad budgets/backends) raises
-        immediately; admission applies backpressure per ``on_full``;
-        the result is bit-identical to a serial
-        ``sweep(graph, [sources], ...)`` run of the same request.
-
-        A ``variant`` spec (:mod:`repro.fastpath.variants`) runs the
-        stochastic/memory stepper instead of the deterministic
-        process.  The query's randomness is owned entirely by
-        ``variant.seed`` (it runs as position 0 of that stream) --
-        identical requests return identical results no matter how they
-        were coalesced; Monte-Carlo callers vary the seed per trial or
-        use :meth:`query_batch`.  Stochastic requests never resolve to
-        the oracle.
-
-        A legacy shim: the kwargs become a
-        :class:`~repro.api.spec.FloodSpec` (validated at construction)
-        and the call delegates to :meth:`query_spec`.
-        """
-        spec = FloodSpec(
-            graph=graph,
-            sources=tuple(sources),
-            max_rounds=max_rounds,
-            backend=backend,
-            variant=variant,
-            collect_senders=collect_senders,
-            collect_receives=collect_receives,
-        )
-        return await self.query_spec(spec, timeout=timeout, on_full=on_full)
-
     async def query_spec(
         self,
         spec: FloodSpec,
@@ -596,15 +559,14 @@ class FloodService:
     ) -> IndexedRun:
         """One flood query from a validated :class:`FloodSpec`.
 
-        The spec-native core of :meth:`query`: the spec was validated
-        at construction, so the service only resolves its backend,
-        admits it, and
-        buckets it under ``(entry, spec.batch_key(backend))`` --
-        equal specs (and kwarg queries that canonicalise to them)
-        coalesce into the same pool batch.  The request runs on the RNG
-        stream ``derive_key(variant.seed, spec.stream)``, derived here
-        per *request* so coalescing can never move a query between
-        streams.
+        The spec was validated at construction, so the service only
+        resolves its backend, admits it, and buckets it under
+        ``(entry, spec.batch_key(backend))`` -- equal specs coalesce
+        into the same pool batch.  Admission applies backpressure per
+        ``on_full``; the result is bit-identical to a serial
+        ``sweep_specs([spec])``.  The request runs on the RNG stream
+        ``derive_key(variant.seed, spec.stream)``, derived here per
+        *request* so coalescing can never move a query between streams.
 
         With a result cache, the request first consults the stored
         blobs (``spec.cache == "use"``), then the in-flight table
@@ -613,135 +575,7 @@ class FloodService:
         admission, so every identical query arriving while it runs --
         or waits for a slot -- coalesces onto it instead of executing.
         """
-        entry, chosen = await self._prepare_spec(spec, slots=1)
-        cache = self._results
-        cache_key: Optional[str] = None
-        if cache is not None and spec.cache != "bypass":
-            key = result_cache_key(spec, chosen)
-            if spec.cache == "use":
-                blob = cache.get(key)
-                if blob is not None:
-                    run = decode_run(blob, spec, entry.index)
-                    if run is not None:
-                        entry.untrack(1)
-                        self.stats.queries += 1
-                        self.stats.cache_hits += 1
-                        return run
-                    cache.note_corrupt(key)
-                joinable = self._inflight_results.get(key)
-                if joinable is not None and not joinable.done():
-                    entry.untrack(1)
-                    self.stats.queries += 1
-                    self.stats.cache_coalesced += 1
-                    cache.note_coalesced()
-                    # Shield: this caller's cancellation or timeout must
-                    # not cancel the future every other joiner shares.
-                    blob = await self._await_result(
-                        asyncio.shield(joinable), timeout
-                    )
-                    return self._decode_joined(blob, spec, entry.index)
-            self.stats.cache_misses += 1
-            cache_key = key
-        pending: Optional["asyncio.Future[bytes]"] = None
-        if cache_key is not None:
-            pending = self._require_loop().create_future()
-            self._inflight_results[cache_key] = pending
-        try:
-            await self._admit(1, on_full)
-        except BaseException as exc:
-            entry.untrack(1)
-            self._abort_pending(cache_key, pending, exc)
-            raise
-        request = _Request(
-            entry.index.resolve_sources(spec.sources),
-            self._require_loop().create_future(),
-            spec.run_key(),
-            cache_key=cache_key,
-            pending=pending,
-        )
-        try:
-            self._batcher.add((entry, spec.batch_key(chosen)), request)
-        except BaseException as exc:
-            self._gate.release(1)
-            entry.untrack(1)
-            self._abort_pending(cache_key, pending, exc)
-            raise
-        self.stats.queries += 1
-        return await self._await_result(request.future, timeout)
-
-    @staticmethod
-    def _decode_joined(
-        blob: bytes, spec: FloodSpec, index: IndexedGraph
-    ) -> IndexedRun:
-        """Decode the blob a coalesced execution delivered (never a miss)."""
-        run = decode_run(blob, spec, index)
-        if run is None:
-            raise ServiceError(
-                "cache codec rejected a blob it just encoded; this is a bug"
-            )
-        return run
-
-    def _abort_pending(
-        self,
-        cache_key: Optional[str],
-        pending: Optional["asyncio.Future[bytes]"],
-        exc: BaseException,
-    ) -> None:
-        """Fail a leader's in-flight future when its execution never starts.
-
-        Joiners attached to it inherit the leader's admission/submission
-        failure -- they chose to ride this execution, and nothing else
-        will ever resolve it.
-        """
-        if pending is None or cache_key is None:
-            return
-        if self._inflight_results.get(cache_key) is pending:
-            del self._inflight_results[cache_key]
-        if not pending.done():
-            pending.set_exception(exc)
-            _consume_outcome(pending)
-
-    async def query_batch(
-        self,
-        graph: Graph,
-        source_sets: Iterable[Iterable[Node]],
-        *,
-        max_rounds: Optional[int] = None,
-        backend: Optional[str] = None,
-        variant: Optional[VariantSpec] = None,
-        timeout: Any = _UNSET,
-        on_full: Optional[str] = None,
-        collect_senders: bool = False,
-        collect_receives: bool = False,
-    ) -> List[IndexedRun]:
-        """A caller-shaped batch: dispatched whole, skipping the window.
-
-        The batch admits atomically (all ``n`` slots or backpressure),
-        goes straight to the pool as one sharded sweep, and returns
-        runs in input order -- bit-identical to the serial sweep of the
-        same source sets.  With a ``variant``, position ``i`` of the
-        batch runs on the stream ``derive_key(variant.seed, i)`` --
-        exactly ``sweep(graph, source_sets, variant=variant)``.
-
-        A legacy shim over :meth:`query_batch_specs`: source set ``i``
-        becomes a spec at stream ``i``.
-        """
-        specs = [
-            FloodSpec(
-                graph=graph,
-                sources=tuple(sources),
-                max_rounds=max_rounds,
-                backend=backend,
-                variant=variant,
-                stream=position if variant is not None else 0,
-                collect_senders=collect_senders,
-                collect_receives=collect_receives,
-            )
-            for position, sources in enumerate(source_sets)
-        ]
-        return await self.query_batch_specs(
-            specs, timeout=timeout, on_full=on_full
-        )
+        return (await self._serve([spec], timeout, on_full, whole=False))[0]
 
     async def query_batch_specs(
         self,
@@ -754,8 +588,10 @@ class FloodService:
 
         The specs must agree on graph and execution-relevant fields
         (:func:`~repro.fastpath.engine.ensure_homogeneous_specs`); each
-        runs on its own spec's RNG stream.  Results come back in input
-        order, bit-identical to ``sweep_specs`` of the same batch.
+        runs on its own spec's RNG stream.  The batch skips the
+        micro-batch window, admits atomically (all its slots or
+        backpressure) and returns runs in input order, bit-identical to
+        ``sweep_specs`` of the same batch.
 
         With a result cache the batch is *partitioned*: positions whose
         blob is stored are served from it, positions identical to an
@@ -764,145 +600,143 @@ class FloodService:
         misses are admitted and dispatched -- output order and content
         are unchanged.
         """
+        specs = list(specs)
         if not specs:
             return []
-        from repro.fastpath.engine import ensure_homogeneous_specs
+        ensure_homogeneous_specs(specs)
+        return await self._serve(specs, timeout, on_full, whole=True)
 
-        specs = list(specs)
-        head = ensure_homogeneous_specs(specs)
-        entry, chosen = await self._prepare_spec(head, slots=len(specs))
-        cache = self._results
-        results: List[Optional[IndexedRun]] = [None] * len(specs)
-        miss_positions: List[int] = []
-        keys: List[Optional[str]] = [None] * len(specs)
-        joins: List[Tuple[int, "asyncio.Future[bytes]"]] = []
-        leaders: Dict[str, int] = {}
-        dup_of: Dict[int, str] = {}
-        if cache is None:
-            miss_positions = list(range(len(specs)))
-        else:
-            for position, spec in enumerate(specs):
-                if spec.cache == "bypass":
-                    miss_positions.append(position)
-                    continue
-                key = result_cache_key(spec, chosen)
-                if spec.cache == "use":
-                    blob = cache.get(key)
-                    if blob is not None:
-                        run = decode_run(blob, spec, entry.index)
-                        if run is not None:
-                            results[position] = run
-                            self.stats.cache_hits += 1
-                            continue
-                        cache.note_corrupt(key)
-                    joinable = self._inflight_results.get(key)
-                    if joinable is not None and not joinable.done():
-                        joins.append((position, joinable))
-                        self.stats.cache_coalesced += 1
-                        cache.note_coalesced()
-                        continue
-                if key in leaders:
-                    # In-batch dedupe: a later identical miss rides the
-                    # earlier position's execution.
-                    dup_of[position] = key
-                    self.stats.cache_coalesced += 1
-                    cache.note_coalesced()
-                    continue
-                self.stats.cache_misses += 1
-                leaders[key] = position
-                keys[position] = key
-                miss_positions.append(position)
-        executed = len(miss_positions)
-        if executed < len(specs):
-            # Hit/join/dedupe positions never occupy the entry.
-            entry.untrack(len(specs) - executed)
-        self.stats.queries += len(specs)
-        requests: List[_Request] = []
-        pending_by_key: Dict[str, "asyncio.Future[bytes]"] = {}
-        if executed:
-            loop = self._require_loop()
-            for position in miss_positions:
-                spec = specs[position]
-                key = keys[position]
-                pending: Optional["asyncio.Future[bytes]"] = None
-                if key is not None:
-                    pending = loop.create_future()
-                    self._inflight_results[key] = pending
-                    pending_by_key[key] = pending
-                requests.append(
-                    _Request(
-                        entry.index.resolve_sources(spec.sources),
-                        loop.create_future(),
-                        spec.run_key(),
-                        cache_key=key,
-                        pending=pending,
-                    )
-                )
-            try:
-                await self._admit(executed, on_full)
-            except BaseException as exc:
-                entry.untrack(executed)
-                for request in requests:
-                    self._abort_pending(request.cache_key, request.pending, exc)
-                raise
-            self._dispatch((entry, head.batch_key(chosen)), requests)
-        elif not joins:
-            return results  # type: ignore[return-value]  # fully served
-        # return_exceptions so every future is retrieved even when one
-        # fails (all requests of a batch share any failure anyway).
-        gathered = asyncio.gather(
-            *(request.future for request in requests),
-            # Shield: this caller's cancellation or timeout must not
-            # cancel futures other joiners share.
-            *(asyncio.shield(joinable) for _, joinable in joins),
-            return_exceptions=True,
-        )
-        outcomes = await self._await_result(gathered, timeout)
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        for position, run in zip(miss_positions, outcomes[:executed]):
-            results[position] = run
-        for (position, _), blob in zip(joins, outcomes[executed:]):
-            results[position] = self._decode_joined(
-                blob, specs[position], entry.index
-            )
-        for position, key in dup_of.items():
-            results[position] = self._decode_joined(
-                pending_by_key[key].result(), specs[position], entry.index
-            )
-        return results  # type: ignore[return-value]
+    async def _serve(
+        self,
+        specs: List[FloodSpec],
+        timeout: Any,
+        on_full: Optional[str],
+        whole: bool,
+    ) -> List[IndexedRun]:
+        """The one request funnel behind both query paths.
 
-    # -- internals -----------------------------------------------------
-
-    async def _prepare_spec(
-        self, spec: FloodSpec, slots: int
-    ) -> Tuple[_GraphEntry, str]:
-        """Shared front half: resolve the backend, acquire a tracked entry.
-
-        The spec carries its validation from construction time, so the
-        only checks left are service-level (open, fast-path-runnable)
-        -- they raise before any state changes.  The returned entry
-        carries ``slots`` tracked slots: the caller owns matching
-        ``untrack`` calls on its failure paths, and ``_resolve``
-        performs it on the success path.
+        The specs carry their validation from construction time, so the
+        only checks left are service-level (open, fast-path-runnable);
+        they raise before any state changes.  Then it resolves the
+        backend, takes a graph entry with one tracked slot per spec
+        (released by ``untrack`` here for positions that never execute,
+        on the failure paths, and by ``_resolve`` on success),
+        partitions the batch against the cache
+        (:func:`~repro.cache.policy.partition_specs`), registers each
+        leader's in-flight future before admission, admits the misses,
+        and hands them to the pool -- whole (``query_batch_specs``) or
+        through the micro-batcher (a single ``query_spec``).
         """
+        head = specs[0]
         if self._closed:
             raise ServiceClosed()
         self._require_loop()
-        if spec.scenario is not None:
+        if head.scenario is not None:
             raise ConfigurationError(
-                f"scenario {spec.scenario!r} runs on the reference engines; "
+                f"scenario {head.scenario!r} runs on the reference engines; "
                 f"use FloodSession.run/aquery (the service serves the fast "
                 f"path)"
             )
-        chosen = select_backend(spec.index(), spec.backend, spec.variant)
-        entry = await self._entry_async(spec.graph, slots)
-        return entry, chosen
+        chosen = select_backend(head.index(), head.backend, head.variant)
+        entry = await self._entry_async(head.graph, len(specs))
+        self.stats.queries += len(specs)
+        plan = partition_specs(
+            self._results, specs, chosen, entry.index, self._inflight_results
+        )
+        self.stats.cache_hits += len(plan.hits)
+        self.stats.cache_coalesced += len(plan.joins) + len(plan.duplicates)
+        loop = self._require_loop()
+        requests: List[_Request] = []
+        pendings: Dict[str, "asyncio.Future[bytes]"] = {}
+        for position, key in plan.misses:
+            pending: Optional["asyncio.Future[bytes]"] = None
+            if key is not None:
+                self.stats.cache_misses += 1
+                pending = pendings[key] = loop.create_future()
+                self._inflight_results[key] = pending
+            spec = specs[position]
+            requests.append(
+                _Request(
+                    entry.index.resolve_sources(spec.sources),
+                    loop.create_future(),
+                    spec.run_key(),
+                    cache_key=key,
+                    pending=pending,
+                )
+            )
+        if len(requests) < len(specs):
+            # Hit/join/duplicate positions never occupy the entry.
+            entry.untrack(len(specs) - len(requests))
+        if requests:
+            admitted = False
+            try:
+                await self._admit(len(requests), on_full)
+                admitted = True
+                batch_key = (entry, head.batch_key(chosen))
+                if whole:
+                    self._dispatch(batch_key, requests)
+                else:
+                    self._batcher.add(batch_key, requests[0])
+            except BaseException as exc:
+                if admitted:
+                    self._gate.release(len(requests))
+                entry.untrack(len(requests))
+                for request in requests:
+                    self._abort_pending(request, exc)
+                raise
+        results: List[Optional[IndexedRun]] = [None] * len(specs)
+        for position, run in plan.hits.items():
+            results[position] = run
+        # In-batch duplicates ride their leader like any join.
+        joins = plan.joins + [
+            (position, pendings[key]) for position, key in plan.duplicates.items()
+        ]
+        if requests or joins:
+            # return_exceptions so every future is retrieved even when
+            # one fails (all requests of a batch share any failure).
+            gathered = asyncio.gather(
+                *(request.future for request in requests),
+                # Shield: this caller's cancellation or timeout must
+                # not cancel futures other joiners share.
+                *(asyncio.shield(joinable) for _, joinable in joins),
+                return_exceptions=True,
+            )
+            outcomes = await self._await_result(gathered, timeout)
+            for outcome in outcomes:
+                if isinstance(outcome, BaseException):
+                    raise outcome
+            for (position, _), run in zip(plan.misses, outcomes):
+                results[position] = run
+            for (position, _), blob in zip(joins, outcomes[len(requests):]):
+                run = decode_run(blob, specs[position], entry.index)
+                if run is None:
+                    raise ServiceError(
+                        "cache codec rejected a blob it just encoded; this is a bug"
+                    )
+                results[position] = run
+        return results  # type: ignore[return-value]
+
+    def _abort_pending(self, request: _Request, exc: BaseException) -> None:
+        """Fail a leader's in-flight future: its execution failed or never started.
+
+        Joiners attached to it inherit the leader's failure -- they
+        chose to ride this execution, and nothing else will ever
+        resolve it.
+        """
+        pending = request.pending
+        if pending is None:
+            return
+        if self._inflight_results.get(request.cache_key) is pending:
+            del self._inflight_results[request.cache_key]
+        if not pending.done():
+            pending.set_exception(exc)
+            _consume_outcome(pending)
+
+    # -- internals -----------------------------------------------------
 
     async def _admit(self, slots: int, on_full: Optional[str]) -> None:
         if self._closed:
-            # A caller can suspend in _prepare's pool warm-up and
+            # A caller can suspend in _serve's pool warm-up and
             # resume after close(); admitting it would submit to a
             # reaped pool.  Refuse with the typed error instead.
             raise ServiceClosed()
@@ -1030,16 +864,14 @@ class FloodService:
         exc: Optional[BaseException],
     ) -> None:
         """Store a leader's fresh result and resolve its in-flight future."""
+        if exc is not None:
+            self._abort_pending(request, exc)
+            return
         cache_key = request.cache_key
         pending = request.pending
         assert cache_key is not None and pending is not None
         if self._inflight_results.get(cache_key) is pending:
             del self._inflight_results[cache_key]
-        if exc is not None:
-            if not pending.done():
-                pending.set_exception(exc)
-                _consume_outcome(pending)
-            return
         assert run is not None
         blob = encode_run(run)
         assert self._results is not None

@@ -14,7 +14,7 @@ Each variant probes one assumption of the model:
 
 The hot variants (probabilistic thinning, Bernoulli loss, k-memory)
 also run on the arc-mask fast path -- see
-:mod:`repro.fastpath.variants` (``sweep(..., variant=thinning(q,
+:mod:`repro.fastpath.variants` (``FloodSpec(..., variant=thinning(q,
 seed))`` etc.).  The implementations here are the independent
 *references* the fast path is held bit-identical to: both sides draw
 their randomness from the counter-based streams of :mod:`repro.rng`

@@ -51,8 +51,8 @@ def lossy_flood(
     the stream ``derive_key(seed, trial_index)`` and every message's
     fate is a pure hash of its round and arc, so the outcome is stable
     under any execution order and bit-identical to the arc-mask fast
-    path (``fastpath.sweep(..., variant=bernoulli_loss(loss_rate,
-    seed))``, where ``trial_index`` is the batch position).  ``seed
+    path (a ``FloodSpec(..., variant=bernoulli_loss(loss_rate, seed),
+    stream=trial_index)``).  ``seed
     None`` draws a fresh random seed.
     """
     if seed is None:

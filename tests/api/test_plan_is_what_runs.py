@@ -3,8 +3,8 @@
 Backend resolution is one rule (``select_backend``), so the plan of a
 spec -- whatever batch size it is planned for -- is the backend every
 execution tier reports on its results: a single ``run``, a serial or
-pooled ``sweep``, ``parallel_sweep``, ``SweepPool.sweep_specs`` and the
-service's ``query_spec``.  The graphs cover the resolution outcomes
+pooled ``sweep``, ``SweepPool.sweep_specs`` and the service's
+``query_spec`` and ``query_batch_specs``.  The graphs cover the resolution outcomes
 that matter: long floods on an odd cycle and an odd torus, a dense
 Erdos-Renyi graph past the numpy crossover, and K8.  Variant specs
 resolve through the same rule: supercritical stochastic floods on the
@@ -30,7 +30,7 @@ from repro.fastpath import (
 )
 from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.graphs import complete_graph, cycle_graph, erdos_renyi, torus_graph
-from repro.parallel import SweepPool, parallel_sweep
+from repro.parallel import SweepPool
 from repro.service import FloodService
 
 GRAPHS = {
@@ -85,23 +85,15 @@ def run_tier(tier, specs):
         finally:
             session.close()
     planner = FloodSession(workers=0)
-    if tier == "parallel-sweep":
-        sources = [list(spec.sources) for spec in specs]
-        runs = parallel_sweep(
-            graph,
-            sources,
-            max_rounds=specs[0].max_rounds,
-            variant=specs[0].variant,
-            workers=2,
-        )
-        return runs, planner
     if tier == "pool-sweep-specs":
         with SweepPool(graph, workers=1) as pool:
             return pool.sweep_specs(specs), planner
-    assert tier == "service-query-spec"
+    assert tier in ("service-query-spec", "service-query-batch-specs")
 
     async def serve():
         async with FloodService(workers=0) as service:
+            if tier == "service-query-batch-specs":
+                return await service.query_batch_specs(specs)
             return await asyncio.gather(
                 *(service.query_spec(spec) for spec in specs)
             )
@@ -113,9 +105,9 @@ TIERS = [
     "run",
     "serial-sweep",
     "pooled-sweep",
-    "parallel-sweep",
     "pool-sweep-specs",
     "service-query-spec",
+    "service-query-batch-specs",
 ]
 
 

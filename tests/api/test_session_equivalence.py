@@ -1,14 +1,12 @@
-"""The facade equivalence matrix: spec pipeline == legacy kwargs pipeline.
+"""The facade equivalence matrix: every tier == the serial spec engine.
 
-The acceptance bar of the ``repro.api`` redesign: for every backend x
-variant x budget combination the repo's equivalence matrix already
-covers, ``FloodSession.run`` / ``sweep`` / ``aquery`` must return
-results **bit-identical** to the legacy entry points they subsume --
-``simulate_indexed`` (and ``core.simulate``), ``fastpath.sweep``,
-``parallel_sweep`` and ``FloodService.query``/``query_batch``.  The
-legacy entry points themselves are shims over the spec pipeline now,
-so these tests also pin that the shims reproduce the historical
-behaviour (position-keyed variant streams included).
+For every backend x variant x budget combination the repo's
+equivalence matrix covers, ``FloodSession.run`` / ``sweep`` /
+``aquery``, the pooled session and the service's ``query_spec`` /
+``query_batch_specs`` must return results **bit-identical** to the
+serial engine entry points ``run_spec`` / ``sweep_specs`` of the same
+specs (per-spec variant streams included); ``core.simulate`` is pinned
+against ``FloodSession.run``.
 """
 
 import asyncio
@@ -20,14 +18,14 @@ from repro.core import simulate
 from repro.fastpath import (
     bernoulli_loss,
     k_memory,
-    simulate_indexed,
-    sweep,
+    run_spec,
+    sweep_specs,
     thinning,
 )
 from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.graphs import cycle_graph, erdos_renyi
-from repro.parallel import parallel_sweep
 from repro.service import FloodService
+from tests.conftest import flood_spec, spec_batch
 
 GRAPHS = {
     "er40": erdos_renyi(40, 0.12, seed=3, connected=True),
@@ -66,93 +64,62 @@ MATRIX = list(combos())
 
 @pytest.mark.parametrize("graph_name,backend,variant,budget", MATRIX)
 class TestRunEquivalence:
-    def test_session_run_equals_simulate_indexed(
+    def test_session_run_equals_run_spec(
         self, graph_name, backend, variant, budget
     ):
         graph = GRAPHS[graph_name]
-        source = graph.nodes()[0]
-        legacy = simulate_indexed(
+        spec = flood_spec(
             graph,
-            [source],
+            graph.nodes()[:1],
             max_rounds=budget,
             backend=backend,
             variant=variant,
         )
-        spec = FloodSpec(
-            graph=graph,
-            sources=(source,),
-            max_rounds=budget,
-            backend=backend,
-            variant=variant,
-            collect_senders=True,
-            collect_receives=True,
-        )
+        expected = run_spec(spec)
         with FloodSession(workers=0) as session:
             result = session.run(spec)
-        assert result.raw == legacy
-        assert result.backend == legacy.backend
-        assert result.terminated == legacy.terminated
-        assert result.termination_round == legacy.termination_round
-        assert result.total_messages == legacy.total_messages
-        assert result.round_edge_counts == legacy.round_edge_counts
+        assert result.raw == expected
+        assert result.backend == expected.backend
+        assert result.terminated == expected.terminated
+        assert result.termination_round == expected.termination_round
+        assert result.total_messages == expected.total_messages
+        assert result.round_edge_counts == expected.round_edge_counts
 
 
 @pytest.mark.parametrize("graph_name,backend,variant,budget", MATRIX)
 class TestSweepEquivalence:
-    def test_session_sweep_equals_legacy_sweep(
+    def test_session_sweep_equals_sweep_specs(
         self, graph_name, backend, variant, budget
     ):
         graph = GRAPHS[graph_name]
         sets = [[v] for v in graph.nodes()[:6]] + [list(graph.nodes()[:2])]
-        legacy = sweep(
+        specs = spec_batch(
             graph, sets, max_rounds=budget, backend=backend, variant=variant
         )
-        specs = [
-            FloodSpec(
-                graph=graph,
-                sources=tuple(sources),
-                max_rounds=budget,
-                backend=backend,
-                variant=variant,
-                stream=position if variant is not None else 0,
-            )
-            for position, sources in enumerate(sets)
-        ]
         with FloodSession(workers=0) as session:
             results = session.sweep(specs)
-        assert [r.raw for r in results] == legacy
+        assert [r.raw for r in results] == sweep_specs(specs)
 
 
 class TestSweepAcrossTiers:
-    """One denser slice: serial facade == pooled facade == parallel_sweep."""
+    """One denser slice: serial facade == pooled facade == sweep_specs."""
 
     @pytest.mark.parametrize(
         "variant",
         [None, thinning(0.6, seed=2), k_memory(2)],
         ids=["det", "thin", "mem2"],
     )
-    def test_pooled_session_matches_parallel_sweep(self, variant):
+    def test_pooled_session_matches_sweep_specs(self, variant):
         graph = GRAPHS["er40"]
         sets = [[v] for v in graph.nodes()[:8]]
-        legacy = parallel_sweep(
-            graph, sets, max_rounds=60, variant=variant, workers=2
-        )
-        specs = [
-            FloodSpec(
-                graph=graph,
-                sources=tuple(sources),
-                max_rounds=60,
-                variant=variant,
-                stream=position if variant is not None else 0,
-            )
-            for position, sources in enumerate(sets)
-        ]
+        specs = spec_batch(graph, sets, max_rounds=60, variant=variant)
+        expected = sweep_specs(specs)
         with FloodSession(workers=2) as pooled:
             pooled_results = pooled.sweep(specs)
         with FloodSession(workers=0) as serial:
             serial_results = serial.sweep(specs)
-        assert [r.raw for r in pooled_results] == legacy
-        assert [r.raw for r in serial_results] == legacy
+        assert [r.raw for r in pooled_results] == expected
+        assert [r.raw for r in serial_results] == expected
 
     def test_heterogeneous_specs_keep_input_order(self):
         graph = GRAPHS["er40"]
@@ -185,61 +152,41 @@ class TestSweepAcrossTiers:
 
 class TestServiceEquivalence:
     @pytest.mark.parametrize("graph_name,backend,variant,budget", MATRIX)
-    def test_aquery_equals_legacy_service_query(
+    def test_aquery_and_query_spec_equal_run_spec(
         self, graph_name, backend, variant, budget
     ):
         graph = GRAPHS[graph_name]
-        source = graph.nodes()[0]
+        spec = FloodSpec(
+            graph=graph,
+            sources=(graph.nodes()[0],),
+            max_rounds=budget,
+            backend=backend,
+            variant=variant,
+        )
 
         async def main():
             async with FloodService(workers=0) as service:
-                legacy = await service.query(
-                    graph,
-                    [source],
-                    max_rounds=budget,
-                    backend=backend,
-                    variant=variant,
-                )
+                served = await service.query_spec(spec)
             async with FloodSession(workers=0) as session:
-                result = await session.aquery(
-                    FloodSpec(
-                        graph=graph,
-                        sources=(source,),
-                        max_rounds=budget,
-                        backend=backend,
-                        variant=variant,
-                    )
-                )
-            return legacy, result
+                result = await session.aquery(spec)
+            return served, result
 
-        legacy, result = asyncio.run(main())
-        assert result.raw == legacy
+        served, result = asyncio.run(main())
+        assert served == run_spec(spec)
+        assert result.raw == served
 
-    def test_query_batch_specs_equals_query_batch(self):
+    def test_query_batch_specs_equals_sweep_specs(self):
         graph = GRAPHS["er40"]
         sets = [[v] for v in graph.nodes()[:5]]
-        variant = bernoulli_loss(0.2, seed=4)
+        specs = spec_batch(
+            graph, sets, max_rounds=80, variant=bernoulli_loss(0.2, seed=4)
+        )
 
         async def main():
             async with FloodService(workers=0) as service:
-                legacy = await service.query_batch(
-                    graph, sets, max_rounds=80, variant=variant
-                )
-                specs = [
-                    FloodSpec(
-                        graph=graph,
-                        sources=tuple(sources),
-                        max_rounds=80,
-                        variant=variant,
-                        stream=position,
-                    )
-                    for position, sources in enumerate(sets)
-                ]
-                fresh = await service.query_batch_specs(specs)
-            return legacy, fresh
+                return await service.query_batch_specs(specs)
 
-        legacy, fresh = asyncio.run(main())
-        assert fresh == legacy
+        assert asyncio.run(main()) == sweep_specs(specs)
 
     def test_equal_specs_coalesce_into_one_batch(self):
         """The spec IS the micro-batch key: identical concurrent
@@ -267,14 +214,8 @@ class TestCoreSimulateShim:
         graph = GRAPHS["er40"]
         source = graph.nodes()[0]
         legacy = simulate(graph, [source])
-        spec = FloodSpec(
-            graph=graph,
-            sources=(source,),
-            collect_senders=True,
-            collect_receives=True,
-        )
         with FloodSession(workers=0) as session:
-            result = session.run(spec)
+            result = session.run(flood_spec(graph, [source]))
         assert result.termination_round == legacy.termination_round
         assert result.total_messages == legacy.total_messages
         assert result.raw.sender_sets() == legacy.sender_sets

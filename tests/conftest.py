@@ -8,6 +8,7 @@ from typing import List, Tuple
 import pytest
 from hypothesis import strategies as st
 
+from repro.api import FloodSpec
 from repro.graphs import (
     Graph,
     complete_graph,
@@ -113,4 +114,42 @@ def small_connected_suite() -> List[Tuple[str, Graph]]:
         ("complete-5", complete_graph(5)),
         ("random-12", random_connected_graph(12, extra_edge_prob=0.25, seed=7)),
         ("random-tree-9", random_connected_graph(9, extra_edge_prob=0.0, seed=3)),
+    ]
+
+
+# Spec builders ---------------------------------------------------------------
+
+
+def spec_of(graph: Graph, sources, **fields) -> FloodSpec:
+    """One request: ``FloodSpec(graph=graph, sources=tuple(sources), ...)``."""
+    return FloodSpec(graph=graph, sources=tuple(sources), **fields)
+
+
+def flood_spec(graph: Graph, sources, **fields) -> FloodSpec:
+    """One request collecting full statistics (sender sets, receive rounds).
+
+    The shape the equivalence tests compare against ``core.simulate``;
+    pass ``collect_senders=False`` / ``collect_receives=False`` to drop
+    either.
+    """
+    fields.setdefault("collect_senders", True)
+    fields.setdefault("collect_receives", True)
+    return spec_of(graph, sources, **fields)
+
+
+def spec_batch(graph: Graph, source_sets, **fields) -> List[FloodSpec]:
+    """One light-statistics request per source set.
+
+    Variant batches put set ``i`` on RNG stream ``i``, so a batch of
+    identical sources still runs independent trials.
+    """
+    trials = fields.get("variant") is not None
+    return [
+        FloodSpec(
+            graph=graph,
+            sources=tuple(sources),
+            stream=position if trials else 0,
+            **fields,
+        )
+        for position, sources in enumerate(source_sets)
     ]

@@ -6,7 +6,7 @@ Amnesiac flooding has three independent implementations:
    paper's model, executed literally;
 2. the set-based reference frontier simulator
    (:func:`repro.core.simulate_reference`);
-3. the CSR fast path (:func:`repro.fastpath.simulate_indexed`), in its
+3. the CSR fast path (:func:`repro.fastpath.run_spec`), in its
    pure-Python bitmask and (when importable) numpy arc-array backends
    -- which also powers the public :func:`repro.core.simulate`.
 
@@ -25,7 +25,7 @@ import random
 import pytest
 
 from repro.core import flood_trace, simulate, simulate_reference
-from repro.fastpath import available_backends, simulate_indexed
+from repro.fastpath import available_backends, run_spec
 from repro.graphs import (
     Graph,
     complete_graph,
@@ -39,6 +39,7 @@ from repro.graphs import (
     petersen_graph,
     random_tree,
 )
+from tests.conftest import flood_spec
 
 BACKENDS = available_backends()
 
@@ -91,7 +92,7 @@ def assert_runs_agree(graph, sources):
     reference = simulate_reference(graph, sources)
     runs = {"public": simulate(graph, sources)}
     for backend in BACKENDS:
-        indexed = simulate_indexed(graph, sources, backend=backend)
+        indexed = run_spec(flood_spec(graph, sources, backend=backend))
         assert indexed.backend == backend
         runs[backend] = indexed
 
@@ -162,9 +163,9 @@ class TestBudgetEquivalence:
                 == trace.per_round_message_counts()
             ), budget
             for backend in BACKENDS:
-                run = simulate_indexed(
+                run = run_spec(flood_spec(
                     graph, [source], max_rounds=budget, backend=backend
-                )
+                ))
                 assert run.terminated == expected_terminated, (backend, budget)
                 assert run.termination_round == expected_rounds
                 assert run.round_edge_counts == reference.round_edge_counts
@@ -203,7 +204,7 @@ class TestRandomizedSoak:
             trace = flood_trace(graph, sources)
             assert reference.termination_round == trace.termination_round
             for backend in BACKENDS:
-                run = simulate_indexed(graph, sources, backend=backend)
+                run = run_spec(flood_spec(graph, sources, backend=backend))
                 assert (
                     run.termination_round,
                     run.total_messages,
@@ -219,7 +220,7 @@ class TestRandomizedSoak:
         for sources in ([0], [9], [0, 4], [9, 2, 5]):
             reference = simulate_reference(graph, sources)
             for backend in BACKENDS:
-                run = simulate_indexed(graph, sources, backend=backend)
+                run = run_spec(flood_spec(graph, sources, backend=backend))
                 assert run.termination_round == reference.termination_round
                 assert run.receive_rounds() == reference.receive_rounds
                 assert run.terminated

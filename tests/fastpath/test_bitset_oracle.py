@@ -15,8 +15,8 @@ This suite pins:
 * the word-packing edge cases: batch sizes off the 64-bit word
   boundary, single-run batches, all-nodes batches, and tail words that
   are mostly empty;
-* the oracle-resolved paths -- serial ``sweep``/``sweep_specs``,
-  ``FloodSession.sweep``, ``parallel_sweep`` pool chunks and an
+* the oracle-resolved paths -- serial ``sweep_specs``,
+  ``FloodSession.sweep``, ``SweepPool.sweep_specs`` chunks and an
   explicit ``backend="oracle"`` long flood -- all bit-identical to the
   per-source oracle, plus the eligibility gate (variants and small
   batches never enter the bitset lane).
@@ -32,8 +32,8 @@ from repro.api import FloodSession, FloodSpec
 from repro.fastpath import (
     BITSET_MIN_BATCH,
     IndexedGraph,
-    simulate_indexed,
-    sweep,
+    run_spec,
+    sweep_specs,
 )
 from repro.fastpath import bitset_oracle, engine, oracle_backend
 from repro.fastpath.numpy_backend import HAS_NUMPY
@@ -47,7 +47,8 @@ from repro.graphs import (
     path_graph,
     petersen_graph,
 )
-from repro.parallel import parallel_sweep
+from repro.parallel import SweepPool
+from tests.conftest import spec_batch
 
 pytestmark = pytest.mark.skipif(
     not HAS_NUMPY, reason="the bitset oracle needs numpy"
@@ -192,20 +193,14 @@ class TestRunBatchEquivalence:
 class TestRoutedPaths:
     def expected(self, graph, source_sets):
         return [
-            simulate_indexed(
-                graph,
-                sources,
-                backend="oracle",
-                collect_senders=False,
-                collect_receives=False,
-            )
+            run_spec(FloodSpec(graph=graph, sources=tuple(sources), backend="oracle"))
             for sources in source_sets
         ]
 
     def test_serial_sweep_bit_identical(self):
         graph = cycle_graph(80)
         source_sets = [[v] for v in graph.nodes()]
-        runs = sweep(graph, source_sets, backend="oracle")
+        runs = sweep_specs(spec_batch(graph, source_sets, backend="oracle"))
         for run, reference in zip(runs, self.expected(graph, source_sets)):
             assert_runs_equal(run, reference)
 
@@ -231,18 +226,14 @@ class TestRoutedPaths:
     def test_pool_chunks_bit_identical(self):
         graph = cycle_graph(48)
         source_sets = [[v] for v in graph.nodes()]
-        serial = sweep(graph, source_sets, backend="oracle")
+        serial = sweep_specs(spec_batch(graph, source_sets, backend="oracle"))
+        specs = spec_batch(graph, source_sets, backend="oracle")
         for workers in (1, 2):
-            for chunksize in (7, 64):
-                runs = parallel_sweep(
-                    graph,
-                    source_sets,
-                    backend="oracle",
-                    workers=workers,
-                    chunksize=chunksize,
-                )
-                for run, reference in zip(runs, serial):
-                    assert_runs_equal(run, reference)
+            with SweepPool(graph, workers=workers) as pool:
+                for chunksize in (7, 64):
+                    runs = pool.sweep_specs(specs, chunksize=chunksize)
+                    for run, reference in zip(runs, serial):
+                        assert_runs_equal(run, reference)
 
     def test_explicit_oracle_takes_bitset_lane_on_long_floods(
         self, monkeypatch
@@ -261,12 +252,12 @@ class TestRoutedPaths:
             return original(index, id_lists, *args, **kwargs)
 
         monkeypatch.setattr(engine.bitset_oracle, "run_batch", spy)
-        runs = sweep(graph, source_sets, backend="oracle")
+        runs = sweep_specs(spec_batch(graph, source_sets, backend="oracle"))
         assert batches == [len(source_sets)]
         assert all(run.backend == "oracle" for run in runs)
         for run, reference in zip(runs, self.expected(graph, source_sets)):
             assert_runs_equal(run, reference)
-        auto = sweep(graph, source_sets)
+        auto = sweep_specs(spec_batch(graph, source_sets))
         assert batches == [len(source_sets)]
         assert all(run.backend != "oracle" for run in auto)
 
@@ -282,9 +273,10 @@ class TestEligibilityGate:
         self.poisoned(monkeypatch)
         graph = cycle_graph(40)
         source_sets = [[v] for v in range(BITSET_MIN_BATCH - 1)]
-        runs = sweep(graph, source_sets, backend="oracle")
+        runs = sweep_specs(spec_batch(graph, source_sets, backend="oracle"))
         assert [run.termination_round for run in runs] == [
-            simulate_indexed(graph, sources, backend="oracle").termination_round
+            run_spec(FloodSpec(graph=graph, sources=tuple(sources), backend="oracle"))
+            .termination_round
             for sources in source_sets
         ]
 
@@ -292,14 +284,15 @@ class TestEligibilityGate:
         self.poisoned(monkeypatch)
         graph = cycle_graph(24)
         source_sets = [[v] for v in graph.nodes()]
-        runs = sweep(graph, source_sets, variant=thinning(1.0, seed=4))
+        variant = thinning(1.0, seed=4)
+        runs = sweep_specs(spec_batch(graph, source_sets, variant=variant))
         assert len(runs) == len(source_sets)
 
     def test_frontier_batches_never_take_the_bitset_lane(self, monkeypatch):
         self.poisoned(monkeypatch)
         graph = cycle_graph(24)
         source_sets = [[v] for v in graph.nodes()]
-        runs = sweep(graph, source_sets, backend="pure")
+        runs = sweep_specs(spec_batch(graph, source_sets, backend="pure"))
         assert len(runs) == len(source_sets)
 
     def test_large_oracle_batches_do_take_the_bitset_lane(self, monkeypatch):
@@ -312,5 +305,6 @@ class TestEligibilityGate:
 
         monkeypatch.setattr(engine.bitset_oracle, "run_batch", spy)
         graph = cycle_graph(40)
-        sweep(graph, [[v] for v in graph.nodes()], backend="oracle")
+        source_sets = [[v] for v in graph.nodes()]
+        sweep_specs(spec_batch(graph, source_sets, backend="oracle"))
         assert taken

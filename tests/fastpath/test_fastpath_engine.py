@@ -7,7 +7,7 @@ from repro.errors import (
     NodeNotFoundError,
     NonTerminationError,
 )
-from repro.core import simulate_reference
+from repro.core import simulate, simulate_reference
 from repro.fastpath import (
     NUMPY_ARC_THRESHOLD,
     NUMPY_MIN_MEAN_DEGREE,
@@ -16,10 +16,10 @@ from repro.fastpath import (
     available_backends,
     configuration_of_mask,
     evolve_arc_mask,
+    run_spec,
     select_backend,
-    simulate_indexed,
     step_arc_mask,
-    sweep,
+    sweep_specs,
 )
 from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.graphs import (
@@ -29,6 +29,7 @@ from repro.graphs import (
     paper_triangle,
     random_tree,
 )
+from tests.conftest import flood_spec, spec_batch
 
 BACKENDS = available_backends()
 
@@ -88,18 +89,18 @@ class TestBackendSelection:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            simulate_indexed(cycle_graph(4), [0], backend="cuda")
+            run_spec(flood_spec(cycle_graph(4), [0], backend="cuda"))
 
     def test_run_reports_backend(self):
         for backend in BACKENDS:
-            run = simulate_indexed(cycle_graph(5), [0], backend=backend)
+            run = run_spec(flood_spec(cycle_graph(5), [0], backend=backend))
             assert run.backend == backend
 
 
-class TestSimulateIndexed:
+class TestRunSpec:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_isolated_source(self, backend):
-        run = simulate_indexed(Graph({0: []}), [0], backend=backend)
+        run = run_spec(flood_spec(Graph({0: []}), [0], backend=backend))
         assert run.terminated
         assert run.termination_round == 0
         assert run.total_messages == 0
@@ -108,30 +109,29 @@ class TestSimulateIndexed:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_saturation_one_round(self, backend):
         graph = cycle_graph(12)
-        run = simulate_indexed(graph, graph.nodes(), backend=backend)
+        run = run_spec(flood_spec(graph, graph.nodes(), backend=backend))
         assert run.termination_round == 1
 
     def test_raise_on_budget(self):
+        assert not run_spec(flood_spec(cycle_graph(9), [0], max_rounds=1)).terminated
         with pytest.raises(NonTerminationError):
-            simulate_indexed(
-                cycle_graph(9), [0], max_rounds=1, raise_on_budget=True
-            )
+            simulate(cycle_graph(9), [0], max_rounds=1, raise_on_budget=True)
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):
-            simulate_indexed(cycle_graph(5), [])
+            run_spec(flood_spec(cycle_graph(5), []))
         with pytest.raises(NodeNotFoundError):
-            simulate_indexed(cycle_graph(5), [71])
+            run_spec(flood_spec(cycle_graph(5), [71]))
         with pytest.raises(ConfigurationError):
-            simulate_indexed(cycle_graph(5), [0], max_rounds=0)
+            run_spec(flood_spec(cycle_graph(5), [0], max_rounds=0))
 
     def test_light_run_refuses_uncollected_statistics(self):
-        run = simulate_indexed(
+        run = run_spec(flood_spec(
             cycle_graph(6),
             [0],
             collect_senders=False,
             collect_receives=False,
-        )
+        ))
         assert run.termination_round == 3
         with pytest.raises(ConfigurationError):
             run.sender_sets()
@@ -141,7 +141,7 @@ class TestSimulateIndexed:
     def test_index_reuse_parameter(self):
         graph = cycle_graph(9)
         index = IndexedGraph(graph)
-        run = simulate_indexed(graph, [0], index=index)
+        run = run_spec(flood_spec(graph, [0]), index=index)
         assert run.index is index
 
 
@@ -150,7 +150,7 @@ class TestSweep:
         graph = erdos_renyi(40, 0.15, seed=11, connected=True)
         nodes = graph.nodes()
         source_sets = [[nodes[i]] for i in range(6)] + [list(nodes[:3])]
-        runs = sweep(graph, source_sets)
+        runs = sweep_specs(spec_batch(graph, source_sets))
         assert len(runs) == len(source_sets)
         for sources, run in zip(source_sets, runs):
             reference = simulate_reference(graph, sources)
@@ -160,16 +160,16 @@ class TestSweep:
 
     def test_sweep_shares_one_index(self):
         graph = cycle_graph(15)
-        runs = sweep(graph, [[0], [3], [7]])
+        runs = sweep_specs(spec_batch(graph, [[0], [3], [7]]))
         assert runs[0].index is runs[1].index is runs[2].index
 
     def test_sweep_collect_flags(self):
         graph = paper_triangle()
-        light, = sweep(graph, [["b"]])
+        light, = sweep_specs(spec_batch(graph, [["b"]]))
         assert light.sender_ids is None and light.receive_rounds_by_id is None
-        full, = sweep(
+        full, = sweep_specs(spec_batch(
             graph, [["b"]], collect_senders=True, collect_receives=True
-        )
+        ))
         reference = simulate_reference(graph, ["b"])
         assert full.sender_sets() == reference.sender_sets
         assert full.receive_rounds() == reference.receive_rounds

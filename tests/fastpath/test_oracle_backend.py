@@ -23,7 +23,7 @@ import pytest
 
 from repro.core import simulate_reference
 from repro.errors import ConfigurationError
-from repro.fastpath import available_backends, simulate_indexed, sweep
+from repro.fastpath import available_backends, run_spec, sweep_specs
 from repro.graphs import (
     complete_graph,
     cycle_graph,
@@ -40,6 +40,7 @@ from repro.graphs import (
     predicted_termination_round,
     random_tree,
 )
+from tests.conftest import flood_spec, spec_batch
 
 FRONTIER_BACKENDS = tuple(
     backend for backend in available_backends() if backend != "oracle"
@@ -86,10 +87,10 @@ MATRIX = matrix()
 class TestOracleVsFrontierEngines:
     @pytest.mark.parametrize("graph,sources", MATRIX)
     def test_full_statistics_agree(self, graph, sources):
-        oracle = simulate_indexed(graph, sources, backend="oracle")
+        oracle = run_spec(flood_spec(graph, sources, backend="oracle"))
         assert oracle.backend == "oracle"
         for backend in FRONTIER_BACKENDS:
-            frontier = simulate_indexed(graph, sources, backend=backend)
+            frontier = run_spec(flood_spec(graph, sources, backend=backend))
             assert oracle.terminated == frontier.terminated
             assert oracle.termination_round == frontier.termination_round
             assert oracle.total_messages == frontier.total_messages
@@ -110,9 +111,9 @@ class TestOracleVsFrontierEngines:
         horizon = simulate_reference(graph, [source]).termination_round
         for budget in range(1, horizon + 3):
             reference = simulate_reference(graph, [source], max_rounds=budget)
-            oracle = simulate_indexed(
+            oracle = run_spec(flood_spec(
                 graph, [source], max_rounds=budget, backend="oracle"
-            )
+            ))
             assert oracle.terminated == reference.terminated, budget
             assert oracle.termination_round == reference.termination_round
             assert oracle.round_edge_counts == reference.round_edge_counts
@@ -125,7 +126,7 @@ class TestOracleVsExplicitCover:
 
     @pytest.mark.parametrize("graph,sources", MATRIX)
     def test_predictors_agree(self, graph, sources):
-        run = simulate_indexed(graph, sources, backend="oracle")
+        run = run_spec(flood_spec(graph, sources, backend="oracle"))
         assert run.termination_round == predicted_termination_round(
             graph, sources
         )
@@ -142,8 +143,8 @@ class TestOracleInSweeps:
     def test_sweep_backend_oracle(self):
         graph = erdos_renyi(60, 0.1, seed=8, connected=True)
         sets = [[v] for v in graph.nodes()[:12]] + [list(graph.nodes()[:4])]
-        fast = sweep(graph, sets, backend="oracle")
-        slow = sweep(graph, sets, backend="pure")
+        fast = sweep_specs(spec_batch(graph, sets, backend="oracle"))
+        slow = sweep_specs(spec_batch(graph, sets, backend="pure"))
         assert [r.termination_round for r in fast] == [
             r.termination_round for r in slow
         ]
@@ -165,13 +166,13 @@ class TestOracleInSweeps:
         assert "oracle" in available_backends()
 
     def test_light_collection(self):
-        run = simulate_indexed(
+        run = run_spec(flood_spec(
             cycle_graph(6),
             [0],
             backend="oracle",
             collect_senders=False,
             collect_receives=False,
-        )
+        ))
         assert run.termination_round == 3
         with pytest.raises(ConfigurationError):
             run.sender_sets()
@@ -181,7 +182,7 @@ class TestOracleInSweeps:
     def test_isolated_source(self):
         from repro.graphs import Graph
 
-        run = simulate_indexed(Graph({0: []}), [0], backend="oracle")
+        run = run_spec(flood_spec(Graph({0: []}), [0], backend="oracle"))
         assert run.terminated
         assert run.termination_round == 0
         assert run.total_messages == 0

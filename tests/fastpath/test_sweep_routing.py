@@ -1,6 +1,6 @@
 """Batch sweeps resolve their backend by the single-run rule.
 
-``sweep(backend=None)`` auto-selects a frontier engine with
+A spec batch with ``backend=None`` auto-selects a frontier engine with
 ``select_backend(index, None)`` -- exactly what a single run picks --
 on every topology, long floods included.  An explicit backend always
 wins and the oracle is reached only by name.  Results are
@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fastpath import IndexedGraph, select_backend, sweep
-from repro.fastpath.engine import _resolve_budget, routed_sweep_backend
+from repro.api import FloodSession
+from repro.fastpath import IndexedGraph, select_backend, sweep_specs
+from repro.fastpath.engine import routed_sweep_backend
 from repro.fastpath.probe import routed_backend
 from repro.graphs import complete_graph, cycle_graph, erdos_renyi
-from repro.parallel import parallel_sweep
+from repro.sync.engine import default_round_budget
+from tests.conftest import spec_batch
 
 LONG_CYCLE = 65
 """An odd cycle: every single-source flood runs 65 rounds."""
@@ -29,38 +31,39 @@ def auto(graph):
 class TestSweepBackendResolution:
     def test_long_floods_keep_frontier_selection(self):
         graph = cycle_graph(LONG_CYCLE)
-        runs = sweep(graph, [[0], [5]])
+        runs = sweep_specs(spec_batch(graph, [[0], [5]]))
         assert [run.backend for run in runs] == [auto(graph)] * 2
         assert auto(graph) != "oracle"
 
     def test_short_floods_keep_frontier_selection(self):
         graph = complete_graph(8)
-        runs = sweep(graph, [[0]])
+        runs = sweep_specs(spec_batch(graph, [[0]]))
         assert runs[0].backend == auto(graph)
 
     def test_explicit_backend_always_wins(self):
         graph = cycle_graph(LONG_CYCLE)
-        assert sweep(graph, [[0]], backend="pure")[0].backend == "pure"
-        assert sweep(graph, [[0]], backend="oracle")[0].backend == "oracle"
+        for backend in ("pure", "oracle"):
+            runs = sweep_specs(spec_batch(graph, [[0]], backend=backend))
+            assert runs[0].backend == backend
 
     def test_budget_does_not_change_selection(self):
         graph = cycle_graph(LONG_CYCLE)
-        runs = sweep(graph, [[0]], max_rounds=4)
+        runs = sweep_specs(spec_batch(graph, [[0]], max_rounds=4))
         assert runs[0].backend == auto(graph)
         assert not runs[0].terminated
 
     def test_oracle_results_identical_to_frontier(self):
         graph = cycle_graph(LONG_CYCLE)
-        oracle = sweep(
+        oracle = sweep_specs(spec_batch(
             graph,
             [[0], [3]],
             backend="oracle",
             collect_senders=True,
             collect_receives=True,
-        )
-        frontier = sweep(
+        ))
+        frontier = sweep_specs(spec_batch(
             graph, [[0], [3]], collect_senders=True, collect_receives=True
-        )
+        ))
         for left, right in zip(oracle, frontier):
             assert left.backend != right.backend
             assert left.termination_round == right.termination_round
@@ -69,10 +72,12 @@ class TestSweepBackendResolution:
             assert left.sender_sets() == right.sender_sets()
             assert left.receive_rounds() == right.receive_rounds()
 
-    def test_parallel_sweep_resolves_identically(self):
+    def test_pooled_session_resolves_identically(self):
         graph = cycle_graph(LONG_CYCLE)
-        serial = sweep(graph, [[v] for v in range(8)])
-        sharded = parallel_sweep(graph, [[v] for v in range(8)], workers=2)
+        specs = spec_batch(graph, [[v] for v in range(8)])
+        serial = sweep_specs(specs)
+        with FloodSession(workers=2) as session:
+            sharded = session.sweep(specs)
         for left, right in zip(serial, sharded):
             assert left.backend == right.backend == auto(graph)
             assert left.termination_round == right.termination_round
@@ -88,7 +93,8 @@ class TestSweepBackendResolution:
         monkeypatch.setattr(probe_module, "probe_termination_rounds", boom)
         graph = cycle_graph(LONG_CYCLE)
         with SweepPool(graph, workers=1) as pool:
-            runs = pool.sweep([[0]]) + pool.sweep([[3]])
+            runs = pool.sweep_specs(spec_batch(graph, [[0]]))
+            runs += pool.sweep_specs(spec_batch(graph, [[3]]))
         assert [run.backend for run in runs] == [auto(graph)] * 2
 
 
@@ -99,10 +105,10 @@ class TestCompatibilityNames:
     def test_routed_sweep_backend_matches_sweep_choice(self, probe):
         for graph in (cycle_graph(80), erdos_renyi(50, 0.2, seed=1)):
             index = IndexedGraph.of(graph)
-            budget = _resolve_budget(graph, None)
+            budget = default_round_budget(graph)
             expected = routed_sweep_backend(index, None, budget, probe)
             assert expected == select_backend(index, None)
-            runs = sweep(graph, [[graph.nodes()[0]]])
+            runs = sweep_specs(spec_batch(graph, [[graph.nodes()[0]]]))
             assert runs[0].backend == expected
 
     def test_routed_sweep_backend_keeps_explicit_names(self):

@@ -201,9 +201,23 @@ async def handler(self, request):
     time.sleep(0.5)
     with open("dump.json") as handle:
         handle.read()
-    return self._pool.sweep(request.sets)
+    return self._session.sweep(request.specs)
 """
     assert _rules(source, "REP103") == ["4:REP103", "5:REP103", "7:REP103"]
+
+
+def test_rep103_flags_blocking_spec_sweeps():
+    source = """\
+async def handler(self, session, specs):
+    first = session.sweep(specs)
+    return first + self._pool.sweep_specs(specs)
+"""
+    assert _rules(source, "REP103") == ["2:REP103", "3:REP103"]
+    messages = [
+        f.message for f in lint_source(source, PATH) if f.rule == "REP103"
+    ]
+    assert all("FloodSession.sweep" in m for m in messages)
+    assert all("SweepPool.sweep_specs" in m for m in messages)
 
 
 def test_rep103_resolves_import_aliases():

@@ -1,8 +1,10 @@
-"""The pool's async submission hooks: futures, not blocking calls.
+"""The pool's one dispatch path: futures, not blocking calls.
 
-``SweepPool.sweep_async`` / ``submit_ids`` are the bridge the service
-layer stands on: same validation, same determinism, delivered through
-a :class:`concurrent.futures.Future` completed off-thread.
+``SweepPool.submit_batch`` is the bridge the service layer stands on
+and the path ``sweep_specs`` blocks on: same determinism, delivered
+through a :class:`concurrent.futures.Future` completed off-thread.
+``serial_batch_ids`` is the same post-validation loop without
+processes.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.errors import ConfigurationError, NodeNotFoundError
-from repro.fastpath import IndexedGraph, select_backend, sweep
+from repro.api.spec import BatchKey
+from repro.errors import ConfigurationError
+from repro.fastpath import IndexedGraph, batch_key_of, sweep_specs
 from repro.graphs import cycle_graph, erdos_renyi
-from repro.parallel import SweepPool, serial_sweep_ids
-from repro.parallel.pool import _resolve_budget
+from repro.parallel import SweepPool, serial_batch_ids
+from tests.conftest import spec_batch
 
 
 def assert_runs_identical(expected, actual):
@@ -39,63 +42,89 @@ def workload():
     return graph, [[v] for v in graph.nodes()[:12]]
 
 
-class TestSweepAsync:
+def resolved(specs):
+    """The id lists and BatchKey a spec batch resolves to."""
+    index = specs[0].index()
+    id_lists = [index.resolve_sources(spec.sources) for spec in specs]
+    return index, id_lists, batch_key_of(specs, index)
+
+
+class TestSubmitBatch:
     def test_future_resolves_to_serial_result(self, workload):
         graph, source_sets = workload
-        serial = sweep(graph, source_sets)
+        specs = spec_batch(graph, source_sets)
+        _, id_lists, key = resolved(specs)
         with SweepPool(graph, workers=2) as pool:
-            future = pool.sweep_async(source_sets)
+            future = pool.submit_batch(id_lists, key)
             assert isinstance(future, Future)
-            assert_runs_identical(serial, future.result(timeout=60))
+            assert_runs_identical(sweep_specs(specs), future.result(timeout=60))
 
     def test_many_outstanding_futures(self, workload):
         graph, source_sets = workload
-        serial = sweep(graph, source_sets)
+        specs = spec_batch(graph, source_sets)
+        _, id_lists, key = resolved(specs)
+        serial = sweep_specs(specs)
         with SweepPool(graph, workers=2) as pool:
-            futures = [pool.sweep_async(source_sets) for _ in range(4)]
+            futures = [pool.submit_batch(id_lists, key) for _ in range(4)]
             for future in futures:
                 assert_runs_identical(serial, future.result(timeout=60))
 
     def test_validation_raises_synchronously(self, workload):
-        graph, _ = workload
+        graph, source_sets = workload
+        _, id_lists, key = resolved(spec_batch(graph, source_sets))
         with SweepPool(graph, workers=1) as pool:
-            with pytest.raises(NodeNotFoundError):
-                pool.sweep_async([["missing"]])
             with pytest.raises(ConfigurationError):
-                pool.sweep_async([[graph.nodes()[0]]], max_rounds=0)
+                pool.submit_batch(id_lists, key, chunksize=0)
             with pytest.raises(ConfigurationError):
-                pool.sweep_async([[graph.nodes()[0]]], backend="cuda")
+                pool.submit_batch(id_lists, key, run_keys=[1])
 
     def test_empty_batch_resolves_immediately(self, workload):
-        graph, _ = workload
+        graph, source_sets = workload
+        _, _, key = resolved(spec_batch(graph, source_sets))
         with SweepPool(graph, workers=1) as pool:
-            assert pool.sweep_async([]).result(timeout=5) == []
+            assert pool.submit_batch([], key).result(timeout=5) == []
 
     def test_bridges_into_asyncio(self, workload):
         graph, source_sets = workload
-        serial = sweep(graph, source_sets, backend="oracle")
+        specs = spec_batch(graph, source_sets, backend="oracle")
+        _, id_lists, key = resolved(specs)
 
         async def main(pool):
-            future = pool.sweep_async(source_sets, backend="oracle")
-            return await asyncio.wrap_future(future)
+            return await asyncio.wrap_future(pool.submit_batch(id_lists, key))
 
         with SweepPool(graph, workers=2) as pool:
             runs = asyncio.run(main(pool))
-        assert_runs_identical(serial, runs)
+        assert_runs_identical(sweep_specs(specs), runs)
+
+    def test_foreign_index_wraps_against_that_index(self, workload):
+        graph, _ = workload
+        other = cycle_graph(11)
+        specs = spec_batch(other, [[0], [5]])
+        index, id_lists, key = resolved(specs)
+        with SweepPool(graph, workers=1) as pool:
+            runs = pool.submit_batch(id_lists, key, index=index).result(60)
+        assert all(run.index is index for run in runs)
+        assert_runs_identical(sweep_specs(specs), runs)
+
+    def test_submit_ids_compatibility_name(self, workload):
+        graph, source_sets = workload
+        specs = spec_batch(graph, source_sets, max_rounds=3)
+        _, id_lists, key = resolved(specs)
+        with SweepPool(graph, workers=1) as pool:
+            runs = pool.submit_ids(id_lists, key.budget, key.backend).result(60)
+        assert_runs_identical(sweep_specs(specs), runs)
 
 
-class TestSerialSweepIds:
+class TestSerialBatchIds:
     def test_matches_blocking_sweep(self, workload):
         graph, source_sets = workload
-        index = IndexedGraph.of(graph)
-        id_lists = [index.resolve_sources(s) for s in source_sets]
-        budget = _resolve_budget(graph, None)
-        backend = select_backend(index, None)
-        runs = serial_sweep_ids(index, id_lists, budget, backend)
-        assert_runs_identical(sweep(graph, source_sets), runs)
+        specs = spec_batch(graph, source_sets)
+        index, id_lists, key = resolved(specs)
+        runs = serial_batch_ids(index, id_lists, key)
+        assert_runs_identical(sweep_specs(specs), runs)
 
     def test_cycle_statistics(self):
-        graph = cycle_graph(9)
-        index = IndexedGraph.of(graph)
-        runs = serial_sweep_ids(index, [[0], [4]], 100, "pure")
+        index = IndexedGraph.of(cycle_graph(9))
+        key = BatchKey(100, "pure", False, False, None)
+        runs = serial_batch_ids(index, [[0], [4]], key)
         assert [run.termination_round for run in runs] == [9, 9]

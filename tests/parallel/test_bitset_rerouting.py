@@ -23,7 +23,7 @@ from repro.core import (
     receipt_census_batch,
 )
 from repro.core.oracle import predict
-from repro.fastpath import IndexedGraph, simulate_indexed
+from repro.fastpath import run_spec, sweep_specs
 from repro.graphs import (
     Graph,
     cycle_graph,
@@ -32,7 +32,8 @@ from repro.graphs import (
     path_graph,
     petersen_graph,
 )
-from repro.parallel import parallel_sweep
+from repro.parallel import SweepPool
+from tests.conftest import flood_spec, spec_batch
 
 
 def census_graphs():
@@ -72,7 +73,7 @@ class TestAllPairsRegression:
         ]
         assert [pair for pair, _ in result] == expected_pairs
         for pair, rounds in result:
-            reference = simulate_indexed(graph, pair, backend="oracle")
+            reference = run_spec(flood_spec(graph, pair, backend="oracle"))
             assert rounds == reference.termination_round
 
     def test_pair_limit_is_a_prefix(self):
@@ -112,14 +113,10 @@ class TestPoolDeterminism:
     ):
         graph = cycle_graph(40)
         source_sets = [[v] for v in graph.nodes()]
-        serial = parallel_sweep(graph, source_sets, backend="oracle", workers=None)
-        sharded = parallel_sweep(
-            graph,
-            source_sets,
-            backend="oracle",
-            workers=workers,
-            chunksize=chunksize,
-        )
+        specs = spec_batch(graph, source_sets, backend="oracle")
+        serial = sweep_specs(specs)
+        with SweepPool(graph, workers=workers) as pool:
+            sharded = pool.sweep_specs(specs, chunksize=chunksize)
         assert len(sharded) == len(serial)
         for run, reference in zip(sharded, serial):
             assert run.backend == reference.backend == "oracle"
@@ -132,21 +129,12 @@ class TestPoolDeterminism:
     def test_collected_batches_identical_across_shardings(self, workers):
         graph = petersen_graph()
         source_sets = [[v] for v in graph.nodes()] * 4
-        serial = parallel_sweep(
-            graph,
-            source_sets,
-            backend="oracle",
-            collect_receives=True,
-            workers=None,
+        specs = spec_batch(
+            graph, source_sets, backend="oracle", collect_receives=True
         )
-        sharded = parallel_sweep(
-            graph,
-            source_sets,
-            backend="oracle",
-            collect_receives=True,
-            workers=workers,
-            chunksize=13,
-        )
+        serial = sweep_specs(specs)
+        with SweepPool(graph, workers=workers) as pool:
+            sharded = pool.sweep_specs(specs, chunksize=13)
         for run, reference in zip(sharded, serial):
             assert run.receive_rounds_by_id == reference.receive_rounds_by_id
             assert run.round_edge_counts == reference.round_edge_counts

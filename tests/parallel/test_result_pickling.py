@@ -14,8 +14,9 @@ import pickle
 
 import pytest
 
-from repro.fastpath import IndexedGraph, available_backends, simulate_indexed, sweep
+from repro.fastpath import IndexedGraph, available_backends, run_spec, sweep_specs
 from repro.graphs import cycle_graph, erdos_renyi, paper_triangle
+from tests.conftest import flood_spec, spec_batch
 
 
 class TestIndexedGraphPickling:
@@ -36,9 +37,9 @@ class TestIndexedGraphPickling:
         graph = cycle_graph(16)
         index = IndexedGraph(graph)
         # Populate both process-local caches.
-        simulate_indexed(graph, [0], backend="pure", index=index)
+        run_spec(flood_spec(graph, [0], backend="pure"), index=index)
         if "numpy" in available_backends():
-            simulate_indexed(graph, [0], backend="numpy", index=index)
+            run_spec(flood_spec(graph, [0], backend="numpy"), index=index)
             assert index._numpy_arrays is not None
         assert index._send_cache is not None
         clone = pickle.loads(pickle.dumps(index))
@@ -49,7 +50,7 @@ class TestIndexedGraphPickling:
         graph = cycle_graph(9)
         clone = pickle.loads(pickle.dumps(IndexedGraph.of(graph)))
         for backend in available_backends():
-            run = simulate_indexed(graph, [0], backend=backend, index=clone)
+            run = run_spec(flood_spec(graph, [0], backend=backend), index=clone)
             assert run.termination_round == 9
 
 
@@ -57,13 +58,13 @@ class TestSweepResultPickling:
     @pytest.mark.parametrize("backend", available_backends())
     def test_round_trip_every_backend(self, backend):
         graph = paper_triangle()
-        runs = sweep(
+        runs = sweep_specs(spec_batch(
             graph,
             [["b"], ["a", "c"]],
             backend=backend,
             collect_senders=True,
             collect_receives=True,
-        )
+        ))
         for original in runs:
             clone = pickle.loads(pickle.dumps(original))
             assert clone.sources == original.sources
@@ -78,13 +79,13 @@ class TestSweepResultPickling:
             assert clone.receive_rounds() == original.receive_rounds()
 
     def test_light_results_stay_light(self):
-        run, = sweep(cycle_graph(8), [[0]])
+        run, = sweep_specs(spec_batch(cycle_graph(8), [[0]]))
         clone = pickle.loads(pickle.dumps(run))
         assert clone.sender_ids is None
         assert clone.receive_rounds_by_id is None
 
     def test_budget_cutoff_round_trips(self):
-        run, = sweep(cycle_graph(9), [[0]], max_rounds=2)
+        run, = sweep_specs(spec_batch(cycle_graph(9), [[0]], max_rounds=2))
         clone = pickle.loads(pickle.dumps(run))
         assert not clone.terminated
         assert clone.termination_round == 2
@@ -96,7 +97,5 @@ class TestSweepResultPickling:
         warmed_index = IndexedGraph(graph)
         sweep_graph = warmed_index.graph
         for source in sweep_graph.nodes()[:10]:
-            simulate_indexed(
-                sweep_graph, [source], backend="pure", index=warmed_index
-            )
+            run_spec(flood_spec(sweep_graph, [source], backend="pure"), warmed_index)
         assert len(pickle.dumps(warmed_index)) == len(cold)

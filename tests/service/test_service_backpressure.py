@@ -23,6 +23,7 @@ from repro.service import (
     ServiceClosed,
     ServiceError,
 )
+from tests.conftest import spec_batch, spec_of
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,9 @@ def fill_service(service, graph, count):
     """Admit ``count`` queries that will sit in a long batching window."""
     nodes = graph.nodes()
     return [
-        asyncio.ensure_future(service.query(graph, [nodes[i % len(nodes)]]))
+        asyncio.ensure_future(
+            service.query_spec(spec_of(graph, [nodes[i % len(nodes)]]))
+        )
         for i in range(count)
     ]
 
@@ -50,7 +53,7 @@ class TestQueueFull:
                 await asyncio.sleep(0.01)  # admissions happen
                 assert service.pending == 4
                 with pytest.raises(QueueFull) as excinfo:
-                    await service.query(graph, [graph.nodes()[0]])
+                    await service.query_spec(spec_of(graph, [graph.nodes()[0]]))
                 assert excinfo.value.limit == 4
                 assert excinfo.value.requested == 1
                 results = await asyncio.gather(*tasks)
@@ -67,7 +70,7 @@ class TestQueueFull:
             ) as service:
                 runs = await asyncio.gather(
                     *(
-                        service.query(graph, [v])
+                        service.query_spec(spec_of(graph, [v]))
                         for v in graph.nodes()[:9]
                     )
                 )
@@ -86,8 +89,8 @@ class TestQueueFull:
                 tasks = fill_service(service, graph, 2)
                 await asyncio.sleep(0.01)
                 # The override waits even though the default raises.
-                extra = await service.query(
-                    graph, [graph.nodes()[5]], on_full="wait"
+                extra = await service.query_spec(
+                    spec_of(graph, [graph.nodes()[5]]), on_full="wait"
                 )
                 await asyncio.gather(*tasks)
                 return extra
@@ -102,7 +105,9 @@ class TestQueueFull:
             async with FloodService(workers=0, max_pending=3) as service:
                 sets = [[v] for v in graph.nodes()[:5]]
                 with pytest.raises(QueueFull) as excinfo:
-                    await service.query_batch(graph, sets, on_full=mode)
+                    await service.query_batch_specs(
+                        spec_batch(graph, sets), on_full=mode
+                    )
                 assert excinfo.value.requested == 5
 
         asyncio.run(run("raise"))
@@ -112,11 +117,38 @@ class TestQueueFull:
         async def run():
             async with FloodService(workers=0) as service:
                 with pytest.raises(ConfigurationError):
-                    await service.query(
-                        graph, [graph.nodes()[0]], on_full="retry"
+                    await service.query_spec(
+                        spec_of(graph, [graph.nodes()[0]]), on_full="retry"
                     )
 
         asyncio.run(run())
+
+
+class TestQueryAccounting:
+    def test_rejected_traffic_counts_the_same_on_both_paths(self, graph):
+        """``queries`` counts at one point: rejected requests included."""
+        specs = spec_batch(graph, [[v] for v in graph.nodes()[2:5]])
+
+        async def run(batched):
+            async with FloodService(
+                workers=0, max_pending=2, batch_window=0.05
+            ) as service:
+                service.register(graph)
+                tasks = fill_service(service, graph, 2)
+                await asyncio.sleep(0.01)
+                if batched:
+                    with pytest.raises(QueueFull):
+                        await service.query_batch_specs(specs)
+                else:
+                    for spec in specs:
+                        with pytest.raises(QueueFull):
+                            await service.query_spec(spec)
+                await asyncio.gather(*tasks)
+                return service.stats
+
+        single, batch = asyncio.run(run(False)), asyncio.run(run(True))
+        assert single.queries == batch.queries == 2 + len(specs)
+        assert (single.rejected, batch.rejected) == (len(specs), 1)
 
 
 class TestTimeouts:
@@ -125,8 +157,8 @@ class TestTimeouts:
             async with FloodService(workers=0, batch_window=0.5) as service:
                 service.register(graph)
                 with pytest.raises(QueryTimeout) as excinfo:
-                    await service.query(
-                        graph, [graph.nodes()[0]], timeout=0.01
+                    await service.query_spec(
+                        spec_of(graph, [graph.nodes()[0]]), timeout=0.01
                     )
                 assert excinfo.value.seconds == 0.01
                 assert service.stats.timeouts == 1
@@ -142,7 +174,7 @@ class TestTimeouts:
                 workers=0, batch_window=0.5, default_timeout=0.01
             ) as service:
                 with pytest.raises(QueryTimeout):
-                    await service.query(graph, [graph.nodes()[0]])
+                    await service.query_spec(spec_of(graph, [graph.nodes()[0]]))
                 await asyncio.sleep(0.6)
 
         asyncio.run(run())
@@ -152,8 +184,8 @@ class TestTimeouts:
             async with FloodService(
                 workers=0, batch_window=0.01, default_timeout=0.001
             ) as service:
-                return await service.query(
-                    graph, [graph.nodes()[0]], timeout=None
+                return await service.query_spec(
+                    spec_of(graph, [graph.nodes()[0]]), timeout=None
                 )
 
         assert asyncio.run(run()).terminated
@@ -164,9 +196,9 @@ class TestLifecycle:
         async def run():
             service = FloodService(workers=0)
             async with service:
-                await service.query(graph, [graph.nodes()[0]])
+                await service.query_spec(spec_of(graph, [graph.nodes()[0]]))
             with pytest.raises(ServiceClosed):
-                await service.query(graph, [graph.nodes()[0]])
+                await service.query_spec(spec_of(graph, [graph.nodes()[0]]))
             with pytest.raises(ServiceClosed):
                 service.register(graph)
 
@@ -180,7 +212,7 @@ class TestLifecycle:
             service = FloodService(workers=0, batch_window=5.0)
             async with service:
                 task = asyncio.ensure_future(
-                    service.query(graph, [graph.nodes()[0]])
+                    service.query_spec(spec_of(graph, [graph.nodes()[0]]))
                 )
                 await asyncio.sleep(0.01)
             return await task
@@ -191,7 +223,7 @@ class TestLifecycle:
         async def run():
             service = FloodService(workers=0)
             async with service:
-                await service.query(graph, [graph.nodes()[0]])
+                await service.query_spec(spec_of(graph, [graph.nodes()[0]]))
             await service.close()
             await service.close()
 
@@ -216,14 +248,14 @@ class TestValidation:
         async def run():
             async with FloodService(workers=0) as service:
                 with pytest.raises(NodeNotFoundError):
-                    await service.query(graph, ["not-a-node"])
+                    await service.query_spec(spec_of(graph, ["not-a-node"]))
                 with pytest.raises(ConfigurationError):
-                    await service.query(
-                        graph, [graph.nodes()[0]], max_rounds=0
+                    await service.query_spec(
+                        spec_of(graph, [graph.nodes()[0]], max_rounds=0)
                     )
                 with pytest.raises(ConfigurationError):
-                    await service.query(
-                        graph, [graph.nodes()[0]], backend="cuda"
+                    await service.query_spec(
+                        spec_of(graph, [graph.nodes()[0]], backend="cuda")
                     )
                 assert service.pending == 0
                 assert service.stats.queries == 0

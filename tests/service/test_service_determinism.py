@@ -1,9 +1,10 @@
 """Service determinism: every query equals its own serial sweep.
 
 The contract under test: for every worker count, batching window and
-interleaving of concurrent callers, the result ``await query(graph, S,
-...)`` returns is bit-identical to ``repro.fastpath.sweep(graph, [S],
-...)`` -- same dataclass fields, same values.  Batching, sharding and
+interleaving of concurrent callers, the result ``await
+query_spec(spec)`` returns is bit-identical to
+``repro.fastpath.sweep_specs([spec])`` -- same dataclass fields, same
+values.  Batching, sharding and
 routing change scheduling, never content.
 """
 
@@ -14,9 +15,10 @@ import random
 
 import pytest
 
-from repro.fastpath import sweep
+from repro.fastpath import sweep_specs
 from repro.graphs import erdos_renyi, paper_triangle
 from repro.service import FloodService
+from tests.conftest import spec_batch, spec_of
 
 # workers=0 is the in-process serial mode; 1/2/4 are real pools (on a
 # single-core CI box they still exercise true process boundaries).
@@ -50,7 +52,7 @@ def assert_run_equals(expected, actual):
 
 
 def serial_reference(graph, source_sets, **kwargs):
-    return sweep(graph, source_sets, **kwargs)
+    return sweep_specs(spec_batch(graph, source_sets, **kwargs))
 
 
 class TestConcurrentQueries:
@@ -66,7 +68,7 @@ class TestConcurrentQueries:
             ) as service:
                 return await asyncio.gather(
                     *(
-                        service.query(graph, sources, backend="pure")
+                        service.query_spec(spec_of(graph, sources, backend="pure"))
                         for sources in source_sets
                     )
                 )
@@ -85,7 +87,7 @@ class TestConcurrentQueries:
 
         async def delayed(service, wait, sources):
             await asyncio.sleep(wait)
-            return await service.query(graph, sources, backend="pure")
+            return await service.query_spec(spec_of(graph, sources, backend="pure"))
 
         async def run():
             async with FloodService(
@@ -115,11 +117,10 @@ class TestConcurrentQueries:
                 async with FloodService(workers=workers) as service:
                     return await asyncio.gather(
                         *(
-                            service.query(
-                                graph,
-                                sources,
-                                max_rounds=budget,
-                                backend="pure",
+                            service.query_spec(
+                                spec_of(
+                                    graph, sources, max_rounds=budget, backend="pure"
+                                )
                             )
                             for sources in source_sets
                         )
@@ -140,8 +141,8 @@ class TestConcurrentQueries:
             async with FloodService(workers=0, batch_window=0.01) as service:
                 return await asyncio.gather(
                     *(
-                        service.query(
-                            graph, sources, max_rounds=budget, backend="pure"
+                        service.query_spec(
+                            spec_of(graph, sources, max_rounds=budget, backend="pure")
                         )
                         for sources, budget in pairs
                     )
@@ -168,12 +169,14 @@ class TestConcurrentQueries:
             async with FloodService(workers=2) as service:
                 return await asyncio.gather(
                     *(
-                        service.query(
-                            graph,
-                            sources,
-                            backend="pure",
-                            collect_senders=True,
-                            collect_receives=True,
+                        service.query_spec(
+                            spec_of(
+                                graph,
+                                sources,
+                                backend="pure",
+                                collect_senders=True,
+                                collect_receives=True,
+                            )
                         )
                         for sources in source_sets[:6]
                     )
@@ -194,8 +197,8 @@ class TestQueryBatch:
 
         async def run():
             async with FloodService(workers=workers) as service:
-                return await service.query_batch(
-                    graph, source_sets, backend="pure"
+                return await service.query_batch_specs(
+                    spec_batch(graph, source_sets, backend="pure")
                 )
 
         results = asyncio.run(run())
@@ -206,7 +209,7 @@ class TestQueryBatch:
     def test_empty_batch(self):
         async def run():
             async with FloodService(workers=0) as service:
-                return await service.query_batch(paper_triangle(), [])
+                return await service.query_batch_specs(spec_batch(paper_triangle(), []))
 
         assert asyncio.run(run()) == []
 
@@ -221,13 +224,13 @@ class TestQueryBatch:
                 workers=2, batch_window=0.005
             ) as service:
                 batch_task = asyncio.create_task(
-                    service.query_batch(
-                        graph, source_sets[:10], backend="pure"
+                    service.query_batch_specs(
+                        spec_batch(graph, source_sets[:10], backend="pure")
                     )
                 )
                 singles = await asyncio.gather(
                     *(
-                        service.query(graph, sources, backend="pure")
+                        service.query_spec(spec_of(graph, sources, backend="pure"))
                         for sources in source_sets[10:]
                     )
                 )
@@ -248,7 +251,7 @@ class TestRegistrationCaching:
             async with FloodService(workers=0) as service:
                 index = service.register(graph)
                 again = service.register(graph)
-                run = await service.query(graph, source_sets[0])
+                run = await service.query_spec(spec_of(graph, source_sets[0]))
                 return index, again, run
 
         index, again, result = asyncio.run(run())
@@ -264,7 +267,7 @@ class TestRegistrationCaching:
             async with FloodService(workers=0, max_graphs=2) as service:
                 results = []
                 for graph in graphs + graphs:  # revisit evicted entries
-                    run = await service.query(graph, [0], backend="pure")
+                    run = await service.query_spec(spec_of(graph, [0], backend="pure"))
                     results.append(run.termination_round)
                 return results
 

@@ -20,6 +20,7 @@ import pytest
 from repro.graphs import cycle_graph, erdos_renyi
 from repro.service import FloodService
 from repro.service.service import _AdmissionGate
+from tests.conftest import spec_of
 
 
 class TestEvictionSafety:
@@ -35,12 +36,12 @@ class TestEvictionSafety:
             ) as service:
                 service.register(g1)
                 task = asyncio.ensure_future(
-                    service.query(g1, [0], backend="pure")
+                    service.query_spec(spec_of(g1, [0], backend="pure"))
                 )
                 await asyncio.sleep(0.02)  # admitted, bucketed, not flushed
                 service.register(g2)  # evicts g1 (LRU size 1)
                 run1 = await task
-                run2 = await service.query(g2, [0], backend="pure")
+                run2 = await service.query_spec(spec_of(g2, [0], backend="pure"))
                 return run1, run2
 
         run1, run2 = asyncio.run(run())
@@ -58,7 +59,7 @@ class TestEvictionSafety:
                 workers=1, max_graphs=1, batch_window=0.01
             ) as service:
                 tasks = [
-                    service.query(graphs[i % 3], [0], backend="pure")
+                    service.query_spec(spec_of(graphs[i % 3], [0], backend="pure"))
                     for i in range(12)
                 ]
                 return await asyncio.gather(*tasks)
@@ -79,12 +80,12 @@ class TestEvictionSafety:
             async with FloodService(workers=1, batch_window=0.0) as service:
                 service.register(warm)
                 cold_task = asyncio.ensure_future(
-                    service.query(cold, [cold.nodes()[0]], backend="pure")
+                    service.query_spec(spec_of(cold, [cold.nodes()[0]], backend="pure"))
                 )
                 # These must finish even though cold's pool is forking.
                 warm_runs = await asyncio.gather(
                     *(
-                        service.query(warm, [v], backend="pure")
+                        service.query_spec(spec_of(warm, [v], backend="pure"))
                         for v in warm.nodes()[:4]
                     )
                 )
@@ -117,8 +118,8 @@ class TestWarmupFailure:
 
                 monkeypatch.setattr(service, "_build_pool", flaky)
                 with pytest.raises(OSError):
-                    await service.query(graph, [0], backend="pure")
-                run = await service.query(graph, [0], backend="pure")
+                    await service.query_spec(spec_of(graph, [0], backend="pure"))
+                run = await service.query_spec(spec_of(graph, [0], backend="pure"))
                 assert service.pending == 0
                 return run
 
@@ -136,7 +137,7 @@ class TestCloseRaces:
         async def run():
             service = FloodService(workers=0)
             async with service:
-                await service.query(graph, [0])
+                await service.query_spec(spec_of(graph, [0]))
             with pytest.raises(ServiceClosed):
                 await service._admit(1, None)
 
@@ -194,12 +195,12 @@ class TestGateSlotAccounting:
                 service.register(graph)
                 for _ in range(3):
                     fillers = [
-                        asyncio.ensure_future(service.query(graph, [v]))
+                        asyncio.ensure_future(service.query_spec(spec_of(graph, [v])))
                         for v in graph.nodes()[:2]
                     ]
                     await asyncio.sleep(0.005)
                     victim = asyncio.ensure_future(
-                        service.query(graph, [graph.nodes()[3]])
+                        service.query_spec(spec_of(graph, [graph.nodes()[3]]))
                     )
                     await asyncio.sleep(0.005)
                     victim.cancel()
@@ -208,7 +209,11 @@ class TestGateSlotAccounting:
                 assert service.pending == 0
                 # Full capacity still available.
                 runs = await asyncio.gather(
-                    *(service.query(graph, [v]) for v in graph.nodes()[:2])
+                    *(
+                        service.query_spec(
+                            spec_of(graph, [v])
+                        ) for v in graph.nodes()[:2]
+                    )
                 )
                 return runs
 

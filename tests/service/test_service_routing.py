@@ -18,10 +18,11 @@ from repro.fastpath import (
     IndexedGraph,
     probe_termination_rounds,
     select_backend,
-    sweep,
+    sweep_specs,
 )
 from repro.graphs import complete_graph, cycle_graph, erdos_renyi
 from repro.service import FloodService
+from tests.conftest import spec_batch, spec_of
 
 LONG_CYCLE = 129
 
@@ -33,7 +34,7 @@ def auto(graph):
 def query_backend(graph, sources, **kwargs):
     async def run():
         async with FloodService(workers=0) as service:
-            result = await service.query(graph, sources, **kwargs)
+            result = await service.query_spec(spec_of(graph, sources, **kwargs))
             return result.backend
 
     return asyncio.run(run())
@@ -53,7 +54,9 @@ class TestProbe:
         rounds = probe_termination_rounds(index, samples=3)
         step = max(1, index.n // 3)
         sample_nodes = [index.labels[i] for i in range(0, index.n, step)][:3]
-        reference = sweep(graph, [[v] for v in sample_nodes], backend="oracle")
+        reference = sweep_specs(
+            spec_batch(graph, [[v] for v in sample_nodes], backend="oracle")
+        )
         assert list(rounds) == [run.termination_round for run in reference]
 
     def test_probe_deterministic(self):
@@ -92,11 +95,11 @@ class TestServiceResolution:
         async def run():
             async with FloodService(workers=0) as service:
                 return await asyncio.gather(
-                    *(service.query(graph, s) for s in sets)
+                    *(service.query_spec(spec_of(graph, s)) for s in sets)
                 )
 
         results = asyncio.run(run())
-        serial = sweep(graph, sets, backend=results[0].backend)
+        serial = sweep_specs(spec_batch(graph, sets, backend=results[0].backend))
         for expected, actual in zip(serial, results):
             assert expected.backend == actual.backend
             assert expected.termination_round == actual.termination_round
@@ -109,9 +112,9 @@ class TestServiceResolution:
 
         async def run():
             async with FloodService(workers=0) as service:
-                await service.query(long_cycle, [0])
-                await service.query(dense, [0])
-                await service.query(dense, [1], backend="oracle")
+                await service.query_spec(spec_of(long_cycle, [0]))
+                await service.query_spec(spec_of(dense, [0]))
+                await service.query_spec(spec_of(dense, [1], backend="oracle"))
                 return dict(service.stats.backends)
 
         mix = asyncio.run(run())
@@ -132,8 +135,8 @@ class TestServiceResolution:
         async def run():
             async with FloodService(workers=workers) as service:
                 service.register(graph)
-                cold = await service.query(cycle_graph(25), [0])
-                return await service.query(graph, [0]), cold
+                cold = await service.query_spec(spec_of(cycle_graph(25), [0]))
+                return await service.query_spec(spec_of(graph, [0])), cold
 
         warm, cold = asyncio.run(run())
         assert warm.termination_round == 23

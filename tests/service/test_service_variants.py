@@ -1,8 +1,8 @@
 """Variant queries through the flood service.
 
-The service contract extends to variants: a ``query(variant=...)``
-result is bit-identical to the serial ``sweep(graph, [sources],
-variant=...)`` of the same request for every worker mode and
+The service contract extends to variants: a ``query_spec`` of a
+variant spec is bit-identical to the serial ``sweep_specs([spec])``
+of the same request for every worker mode and
 interleaving -- coalescing cannot move a query onto a different RNG
 stream, because stream keys are derived per request, never from batch
 position.  Stochastic requests must never route to the deterministic
@@ -21,11 +21,12 @@ from repro.fastpath import (
     bernoulli_loss,
     k_memory,
     select_backend,
-    sweep,
+    sweep_specs,
     thinning,
 )
 from repro.graphs import cycle_graph, erdos_renyi
 from repro.service import FloodService
+from tests.conftest import spec_batch, spec_of
 
 
 def run(coro):
@@ -51,10 +52,12 @@ class TestVariantQueries:
 
         async def main():
             async with FloodService(workers=workers) as service:
-                return await service.query(graph, [graph.nodes()[0]], variant=spec)
+                return await service.query_spec(
+                    spec_of(graph, [graph.nodes()[0]], variant=spec)
+                )
 
         actual = run(main())
-        expected = sweep(graph, [[graph.nodes()[0]]], variant=spec)[0]
+        expected = sweep_specs(spec_batch(graph, [[graph.nodes()[0]]], variant=spec))[0]
         assert_same_run(expected, actual)
 
     @pytest.mark.parametrize("workers", [0, 2])
@@ -65,10 +68,12 @@ class TestVariantQueries:
 
         async def main():
             async with FloodService(workers=workers) as service:
-                return await service.query_batch(graph, sets, variant=spec)
+                return await service.query_batch_specs(
+                    spec_batch(graph, sets, variant=spec)
+                )
 
         actual = run(main())
-        expected = sweep(graph, sets, variant=spec)
+        expected = sweep_specs(spec_batch(graph, sets, variant=spec))
         assert len(actual) == len(expected)
         for left, right in zip(expected, actual):
             assert_same_run(left, right)
@@ -83,11 +88,14 @@ class TestVariantQueries:
         async def main():
             async with FloodService(workers=0, batch_window=0.01) as service:
                 return await asyncio.gather(
-                    *(service.query(graph, [0], variant=spec) for _ in range(8))
+                    *(
+                        service.query_spec(spec_of(graph, [0], variant=spec))
+                        for _ in range(8)
+                    )
                 )
 
         results = run(main())
-        expected = sweep(graph, [[0]], variant=spec)[0]
+        expected = sweep_specs(spec_batch(graph, [[0]], variant=spec))[0]
         for actual in results:
             assert_same_run(expected, actual)
 
@@ -101,14 +109,18 @@ class TestVariantQueries:
         async def main():
             async with FloodService(workers=0, batch_window=0.01) as service:
                 return await asyncio.gather(
-                    service.query(graph, [0], variant=loss),
-                    service.query(graph, [0], variant=memory),
-                    service.query(graph, [0]),
+                    service.query_spec(spec_of(graph, [0], variant=loss)),
+                    service.query_spec(spec_of(graph, [0], variant=memory)),
+                    service.query_spec(spec_of(graph, [0])),
                 )
 
         lossy_run, memory_run, plain = run(main())
-        assert_same_run(sweep(graph, [[0]], variant=loss)[0], lossy_run)
-        assert_same_run(sweep(graph, [[0]], variant=memory)[0], memory_run)
+        assert_same_run(
+            sweep_specs(spec_batch(graph, [[0]], variant=loss))[0], lossy_run
+        )
+        assert_same_run(
+            sweep_specs(spec_batch(graph, [[0]], variant=memory))[0], memory_run
+        )
         assert plain.variant is None
         # Even cycle: the two wavefronts meet and cancel after n/2 rounds.
         assert plain.terminated and plain.termination_round == 6
@@ -123,9 +135,9 @@ class TestVariantRouting:
 
         async def main():
             async with FloodService(workers=0) as service:
-                deterministic = await service.query(graph, [0])
-                stochastic = await service.query(
-                    graph, [0], variant=bernoulli_loss(0.2, seed=1)
+                deterministic = await service.query_spec(spec_of(graph, [0]))
+                stochastic = await service.query_spec(
+                    spec_of(graph, [0], variant=bernoulli_loss(0.2, seed=1))
                 )
                 return deterministic, stochastic, dict(service.stats.backends)
 
@@ -142,12 +154,12 @@ class TestVariantRouting:
         async def main():
             async with FloodService(workers=0) as service:
                 with pytest.raises(ConfigurationError):
-                    await service.query(
-                        graph, [0], variant=thinning(0.5), backend="oracle"
+                    await service.query_spec(
+                        spec_of(graph, [0], variant=thinning(0.5), backend="oracle")
                     )
                 with pytest.raises(ConfigurationError):
-                    await service.query(
-                        graph, [0], variant=k_memory(1), backend="numpy"
+                    await service.query_spec(
+                        spec_of(graph, [0], variant=k_memory(1), backend="numpy")
                     )
                 assert service.pending == 0
 
@@ -158,6 +170,8 @@ class TestVariantRouting:
 
         async def main():
             async with FloodService(workers=0) as service:
-                return await service.query(graph, [0], variant=k_memory(1))
+                return await service.query_spec(
+                    spec_of(graph, [0], variant=k_memory(1))
+                )
 
         assert run(main()).backend == "pure"

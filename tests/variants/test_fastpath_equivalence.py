@@ -30,9 +30,9 @@ from repro.fastpath import (
     IndexedGraph,
     bernoulli_loss,
     k_memory,
+    run_spec,
     select_backend,
-    simulate_indexed,
-    sweep,
+    sweep_specs,
     thinning,
     variant_backend,
     variant_survey,
@@ -48,7 +48,7 @@ from repro.graphs import (
     torus_graph,
 )
 from repro.graphs.random_graphs import barabasi_albert
-from repro.parallel import parallel_sweep
+from repro.parallel import SweepPool
 from repro.rng import derive_key
 from repro.variants import (
     coverage_curve,
@@ -59,6 +59,7 @@ from repro.variants import (
     memory_sweep,
     probabilistic_flood,
 )
+from tests.conftest import flood_spec, spec_batch
 
 GRAPHS = [
     cycle_graph(9),
@@ -91,14 +92,14 @@ def stochastic(kind, p, seed):
 
 def fast_runs(graph, spec, trials, source=None, max_rounds=None, backend=None):
     source = graph.nodes()[0] if source is None else source
-    return sweep(
+    return sweep_specs(spec_batch(
         graph,
         [[source]] * trials,
         max_rounds=max_rounds,
         variant=spec,
         backend=backend,
         collect_receives=True,
-    )
+    ))
 
 
 class TestThinningEquivalence:
@@ -207,7 +208,7 @@ class TestKMemoryEquivalence:
         graph = erdos_renyi(30, 0.15, seed=9, connected=True)
         source = graph.nodes()[0]
         fast = fast_runs(graph, k_memory(1), trials=1)[0]
-        det = simulate_indexed(graph, [source])
+        det = run_spec(flood_spec(graph, [source]))
         assert fast.termination_round == det.termination_round
         assert fast.total_messages == det.total_messages
         assert fast.round_edge_counts == det.round_edge_counts
@@ -261,7 +262,9 @@ class TestBudgetSemantics:
         from repro.variants import simulate_dynamic, StaticSchedule
 
         with pytest.raises(ConfigurationError):
-            sweep(cycle_graph(5), [[0]], max_rounds=0, variant=k_memory(1))
+            FloodSpec(
+                graph=cycle_graph(5), sources=(0,), max_rounds=0, variant=k_memory(1)
+            )
         with pytest.raises(ConfigurationError):
             probabilistic_flood(path_graph(3), 0, 0.5, max_rounds=0)
         with pytest.raises(ConfigurationError):
@@ -310,9 +313,11 @@ class TestSpecValidation:
         # numpy runs only the stochastic kinds.
         with pytest.raises(ConfigurationError, match="numpy"):
             variant_backend(small, "numpy", k_memory(2))
-        # ... and through the public sweep entry point.
+        # ... and at spec construction, before any tier runs it.
         with pytest.raises(ConfigurationError):
-            sweep(cycle_graph(5), [[0]], variant=spec, backend="oracle")
+            FloodSpec(
+                graph=cycle_graph(5), sources=(0,), variant=spec, backend="oracle"
+            )
 
     def test_auto_rule_past_the_frontier_thresholds(self):
         # K70: 4830 arcs, mean degree 69 -- past both frontier
@@ -377,21 +382,13 @@ class TestPoolDeterminism:
         self, workload, spec, workers, chunksize
     ):
         graph, source_sets = workload
-        serial = sweep(graph, source_sets, max_rounds=40, variant=spec)
-        sharded = parallel_sweep(
-            graph,
-            source_sets,
-            max_rounds=40,
-            variant=spec,
-            workers=workers,
-            chunksize=chunksize,
-        )
-        self.assert_runs_identical(serial, sharded)
+        specs = spec_batch(graph, source_sets, max_rounds=40, variant=spec)
+        with SweepPool(graph, workers=workers) as pool:
+            sharded = pool.sweep_specs(specs, chunksize=chunksize)
+        self.assert_runs_identical(sweep_specs(specs), sharded)
 
     @pytest.fixture(scope="class", params=[1, 2], ids=lambda w: f"workers{w}")
     def warm_pool(self, request, workload):
-        from repro.parallel import SweepPool
-
         with SweepPool(workload[0], workers=request.param) as pool:
             yield pool
 
@@ -403,23 +400,18 @@ class TestPoolDeterminism:
     ):
         graph, source_sets = workload
         spec = stochastic(kind, 0.6, seed=23)
-        expected = sweep(
+        specs = spec_batch(
             graph,
             source_sets,
             max_rounds=40,
             variant=spec,
-            backend="pure",
             collect_senders=True,
             collect_receives=True,
         )
-        sharded = warm_pool.sweep(
-            source_sets,
-            max_rounds=40,
-            variant=spec,
-            backend=lane(backend),
+        expected = sweep_specs([s.replace(backend="pure") for s in specs])
+        sharded = warm_pool.sweep_specs(
+            [s.replace(backend=lane(backend)) for s in specs],
             chunksize=chunksize,
-            collect_senders=True,
-            collect_receives=True,
         )
         assert {run.backend for run in sharded} == {backend}
         for left, right in zip(expected, sharded):
@@ -435,22 +427,16 @@ class TestPoolDeterminism:
     def test_full_collection_crosses_processes(self, workload):
         graph, source_sets = workload
         spec = bernoulli_loss(0.4, seed=8)
-        serial = sweep(
+        specs = spec_batch(
             graph,
             source_sets[:8],
             variant=spec,
             collect_senders=True,
             collect_receives=True,
         )
-        sharded = parallel_sweep(
-            graph,
-            source_sets[:8],
-            variant=spec,
-            workers=2,
-            collect_senders=True,
-            collect_receives=True,
-        )
-        self.assert_runs_identical(serial, sharded)
+        with FloodSession(workers=2) as session:
+            sharded = [result.raw for result in session.sweep(specs)]
+        self.assert_runs_identical(sweep_specs(specs), sharded)
 
     def test_survey_stable_across_workers(self):
         graph = cycle_graph(16)
@@ -460,41 +446,37 @@ class TestPoolDeterminism:
             again = variant_survey(graph, 0, spec, trials=40, workers=workers)
             assert again == baseline
 
-    def test_serial_sweep_ids_defaults_to_position_keys(self, workload):
+    def test_serial_batch_ids_defaults_to_position_keys(self, workload):
         # The exported in-process fallback must never silently run
         # every trial on one stream when run_keys is omitted: the
-        # default is the same position-keyed derivation sweep() uses.
-        from repro.fastpath import IndexedGraph
-        from repro.fastpath.engine import _resolve_budget
-        from repro.parallel import serial_sweep_ids
+        # default puts run i on stream i, like a spec batch at stream=i.
+        from repro.api.spec import BatchKey
+        from repro.parallel import serial_batch_ids
 
         graph, source_sets = workload
         spec = thinning(0.5, seed=42)
+        specs = spec_batch(graph, source_sets[:10], variant=spec)
         index = IndexedGraph.of(graph)
         id_lists = [index.resolve_sources(s) for s in source_sets[:10]]
-        runs = serial_sweep_ids(
-            index, id_lists, _resolve_budget(graph, None), "pure", variant=spec
-        )
-        self.assert_runs_identical(
-            sweep(graph, source_sets[:10], variant=spec), runs
-        )
+        key = BatchKey(specs[0].max_rounds, "pure", False, False, spec)
+        runs = serial_batch_ids(index, id_lists, key)
+        self.assert_runs_identical(sweep_specs(specs), runs)
         assert len({run.total_messages for run in runs}) > 1  # streams differ
 
     def test_pool_defaults_to_position_keys(self, workload):
         # Same guarantee through a real pool when submit paths are
         # reached without explicit keys.
-        from repro.parallel import SweepPool
+        from repro.api.spec import BatchKey
 
         graph, source_sets = workload
         spec = bernoulli_loss(0.35, seed=6)
+        key = BatchKey(40, "pure", False, False, spec)
         with SweepPool(graph, workers=2) as pool:
             index = pool.index
             id_lists = [index.resolve_sources(s) for s in source_sets[:10]]
-            runs = pool.submit_ids(
-                id_lists, 40, "pure", variant=spec
-            ).result(timeout=60)
-        expected = sweep(graph, source_sets[:10], max_rounds=40, variant=spec)
-        self.assert_runs_identical(expected, runs)
+            runs = pool.submit_batch(id_lists, key).result(timeout=60)
+        specs = spec_batch(graph, source_sets[:10], max_rounds=40, variant=spec)
+        self.assert_runs_identical(sweep_specs(specs), runs)
 
     def test_batch_position_owns_the_stream(self, workload):
         # Prefix stability: the first k runs of a longer batch equal
@@ -502,8 +484,8 @@ class TestPoolDeterminism:
         # derivation exists to provide.
         graph, source_sets = workload
         spec = thinning(0.5, seed=77)
-        short = sweep(graph, source_sets[:6], variant=spec)
-        longer = sweep(graph, source_sets, variant=spec)
+        short = sweep_specs(spec_batch(graph, source_sets[:6], variant=spec))
+        longer = sweep_specs(spec_batch(graph, source_sets, variant=spec))
         self.assert_runs_identical(short, longer[:6])
 
 
@@ -534,16 +516,16 @@ class TestNumpyLane:
             nodes = graph.nodes()
             source_sets = [[nodes[0]], [nodes[-1]], [nodes[1], nodes[-2]], nodes[:3]]
             for budget in (1, 2, 7, 60):
-                expected = sweep(
+                expected = sweep_specs(spec_batch(
                     graph, source_sets, max_rounds=budget, variant=spec,
                     backend="pure", collect_senders=collect,
                     collect_receives=collect,
-                )
-                got = sweep(
+                ))
+                got = sweep_specs(spec_batch(
                     graph, source_sets, max_rounds=budget, variant=spec,
                     backend=backend, collect_senders=collect,
                     collect_receives=collect,
-                )
+                ))
                 assert [self.raw(r) for r in got] == [
                     self.raw(r) for r in expected
                 ], (graph, budget)
